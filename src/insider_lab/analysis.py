@@ -96,13 +96,24 @@ def benchmark_value(market: MarketCoefficients, schedule: EpsilonSchedule,
     )
 
 
+def grade(diff: float, stderr: float, abs_tol: float = 0.0) -> tuple[float, Verdict]:
+    """(z, verdict) of a deviation: Pass when |diff| <= max(3 stderr, abs_tol)."""
+    if stderr > 0:
+        z = diff / stderr
+    elif diff == 0:
+        z = 0.0
+    else:
+        z = math.copysign(math.inf, diff)
+    return z, Verdict.PASS if abs(diff) <= max(3 * stderr, abs_tol) else Verdict.FAIL
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Benchmark value against a Monte Carlo estimate at the same delta.
 
-    The verdict passes when the estimate sits within max(3 standard
-    errors, abs_tol) of the benchmark; z_score records the signed
-    distance in stderr units.
+    The verdict follows grade: it passes when the estimate sits within
+    max(3 standard errors, abs_tol) of the benchmark; z_score records
+    the signed distance in stderr units.
     """
 
     theory: float
@@ -115,15 +126,7 @@ class ComparisonReport:
     def __post_init__(self):
         if self.abs_tol < 0:
             raise AnalysisError(f"abs_tol cannot be negative, got {self.abs_tol!r}")
-        diff = self.mc.mean - self.theory
-        if self.mc.stderr > 0:
-            z = diff / self.mc.stderr
-        elif diff == 0:
-            z = 0.0
-        else:
-            z = math.copysign(math.inf, diff)
-        verdict = Verdict.PASS if abs(diff) <= max(3 * self.mc.stderr, self.abs_tol) \
-            else Verdict.FAIL
+        z, verdict = grade(self.mc.mean - self.theory, self.mc.stderr, self.abs_tol)
         if self.z_score is None:
             object.__setattr__(self, "z_score", z)
         elif self.z_score != z:

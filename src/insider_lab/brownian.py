@@ -129,9 +129,11 @@ def _base_points(base_points: int, horizon: float, delta: float) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def union_grid(base_points: int, schedule: EpsilonSchedule, delta: float) -> TimeGrid:
-    """Base grid on [0, T - delta] merged with every anchor t_j + eps(t_j).
+def union_grids(sizes, schedule: EpsilonSchedule, delta: float) -> list[TimeGrid]:
+    """Base grids of every size on [0, T - delta], merged with all their anchors.
 
+    The grids share one point set, so a single Brownian draw serves every
+    level; each grid carries its own base and anchor indices into it.
     Table schedules whose anchors straddle the horizon are rejected: the
     strategy layer has no consistent reading for them.
     """
@@ -143,12 +145,14 @@ def union_grid(base_points: int, schedule: EpsilonSchedule, delta: float) -> Tim
             "table schedule anchors straddle the horizon (mixed regime); "
             "cannot build a simulation grid for it"
         )
-    base = _base_points(base_points, T, delta)
-    # the closed-endpoint evaluation: with delta = 0 the base grid ends at
-    # T itself, where the kind formulas extend continuously
-    anchors = base + schedule._eval_extended(base)
+    segments = []
+    for n in sizes:
+        base = _base_points(n, T, delta)
+        # the closed-endpoint evaluation: with delta = 0 the base grid ends
+        # at T itself, where the kind formulas extend continuously
+        segments += [base, base + schedule._eval_extended(base)]
 
-    merged = np.concatenate([base, anchors])
+    merged = np.concatenate(segments)
     order = np.argsort(merged, kind="stable")
     merged = merged[order]
     keep = np.empty(len(merged), dtype=bool)
@@ -156,18 +160,19 @@ def union_grid(base_points: int, schedule: EpsilonSchedule, delta: float) -> Tim
     np.greater(np.diff(merged), MERGE_TOL, out=keep[1:])
     points = merged[keep]
     # map each original time to its surviving representative
-    rep = np.cumsum(keep) - 1
     inverse = np.empty(len(merged), dtype=np.int64)
-    inverse[order] = rep
-    base_idx = inverse[: len(base)]
-    anchor_idx = inverse[len(base):]
+    inverse[order] = np.cumsum(keep) - 1
+    parts = np.split(inverse, np.cumsum([len(seg) for seg in segments[:-1]]))
+    return [
+        TimeGrid(points=points, max_horizon=float(points[-1]),
+                 base_indices=base_idx, anchor_indices=anchor_idx)
+        for base_idx, anchor_idx in zip(parts[::2], parts[1::2])
+    ]
 
-    return TimeGrid(
-        points=points,
-        max_horizon=float(points[-1]),
-        base_indices=base_idx,
-        anchor_indices=anchor_idx,
-    )
+
+def union_grid(base_points: int, schedule: EpsilonSchedule, delta: float) -> TimeGrid:
+    """Base grid on [0, T - delta] merged with every anchor t_j + eps(t_j)."""
+    return union_grids([base_points], schedule, delta)[0]
 
 
 def sample_increments(grid: TimeGrid, seed: int) -> np.ndarray:

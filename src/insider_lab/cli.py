@@ -376,15 +376,6 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([x if isinstance(x, str) else f"{x:.17g}" for x in row])
 
 
-def _verdict(diff: float, stderr: float) -> tuple[float, str]:
-    """Grade a deviation at three standard errors; returns (z, verdict)."""
-    if stderr > 0:
-        z = diff / stderr
-    else:
-        z = 0.0 if diff == 0 else math.copysign(math.inf, diff)
-    return z, ("Pass" if diff == 0 or abs(diff) <= 3.0 * stderr else "Fail")
-
-
 def _cmd_viability(args):
     schedule = parse_schedule(args.schedule, args.horizon)
     report = classify_viability(schedule, tol=args.tol)
@@ -545,22 +536,22 @@ def _cmd_duality(args):
     est, analytic = duality_check(args.kind, args.horizon, args.paths,
                                   args.base_points, args.seed, eps=args.eps,
                                   threads=_threads_from(args))
-    z, verdict = _verdict(est.mean - analytic, est.stderr)
+    z, verdict = analysis.grade(est.mean - analytic, est.stderr)
     payload = {"command": "duality", "kind": args.kind, "horizon": args.horizon,
                "eps": args.eps, "base_points": args.base_points,
                "seed": args.seed, "mean": est.mean, "stderr": est.stderr,
                "ci95": list(est.ci95), "n_paths": est.n_paths,
-               "analytic": analytic, "z_score": z, "verdict": verdict}
+               "analytic": analytic, "z_score": z, "verdict": verdict.value}
     if args.output:
         if args.format == "json":
             _write_json(args.output, payload)
         else:
             _write_csv(args.output,
                        ["kind", "analytic", "mean", "stderr", "z", "verdict"],
-                       [[args.kind, analytic, est.mean, est.stderr, z, verdict]])
+                       [[args.kind, analytic, est.mean, est.stderr, z, verdict.value]])
     print(f"{args.kind}: mean={est.mean:.6f} analytic={analytic:g} "
-          f"z={z:+.2f} {verdict}")
-    if args.strict and verdict != "Pass":
+          f"z={z:+.2f} {verdict.value}")
+    if args.strict and verdict is not analysis.Verdict.PASS:
         return 3
     return 0
 
@@ -621,10 +612,10 @@ def _cmd_drift_check(args):
                                                 args.paths, row_seed),
                            1.0))
         for kind, res, expected in checks:
-            z, verdict = _verdict(res.slope - expected, res.stderr)
+            z, verdict = analysis.grade(res.slope - expected, res.stderr)
             rows.append({"kind": kind, "h_over_eps": ratio, "slope": res.slope,
                          "stderr": res.stderr, "expected": expected,
-                         "z_score": z, "verdict": verdict})
+                         "z_score": z, "verdict": verdict.value})
     payload = {"command": "drift-check", "t": args.t, "eps": args.eps,
                "paths": args.paths, "seed": args.seed, "rows": rows}
     if args.output:

@@ -129,11 +129,18 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
         )
 
 
-def _pi_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-               values: np.ndarray, sub: np.ndarray, pi_cap: float | None) -> np.ndarray:
+def _wealth_terms(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
+                  values: np.ndarray, delta: float, pi_cap: float | None):
+    """Left times, steps, alpha, beta, increments and pi on the base sub-grid."""
+    sub = _eval_sub_indices(grid, market.horizon, delta)
+    if sub.size < 2:
+        raise ForwardError("no integration steps below the truncated horizon")
     left = sub[:-1]
     t_left = grid.points[left]
-    honest = market.alpha(t_left) / market.beta(t_left) ** 2
+    dt = np.diff(grid.points[sub])
+    alpha = market.alpha(t_left)
+    beta = market.beta(t_left)
+    honest = alpha / beta**2
     if isinstance(strategy, HonestStrategy):
         pi = np.broadcast_to(honest, (values.shape[0], left.size)).copy()
     elif isinstance(strategy, InsiderStrategy):
@@ -144,9 +151,9 @@ def _pi_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
             )
         eps = strategy.schedule.eval(t_left)
         anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
-        correction = (values[:, left] - values[:, anchors]) / (market.beta(t_left) * eps)
         # fancy indexing yields F-ordered copies; canonical C layout keeps
         # the later row sums independent of how many rows ride along
+        correction = (values[:, left] - values[:, anchors]) / (beta * eps)
         pi = np.ascontiguousarray(honest - correction)
     elif isinstance(strategy, TableStrategy):
         pi = np.broadcast_to(strategy.fraction(t_left), (values.shape[0], left.size)).copy()
@@ -154,7 +161,8 @@ def _pi_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
         raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
     if pi_cap is not None:
         np.clip(pi, -pi_cap, pi_cap, out=pi)
-    return pi
+    increments = np.ascontiguousarray(values[:, sub[1:]] - values[:, left])
+    return t_left, dt, alpha, beta, increments, pi
 
 
 def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
@@ -171,15 +179,8 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
         raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
     values = np.atleast_2d(np.asarray(values, dtype=float))
     check_truncation(market, strategy, grid, delta)
-    sub = _eval_sub_indices(grid, T, delta)
-    if sub.size < 2:
-        raise ForwardError("no integration steps below the truncated horizon")
-    t_left = grid.points[sub[:-1]]
-    dt = np.diff(grid.points[sub])
-    alpha = market.alpha(t_left)
-    beta = market.beta(t_left)
-
-    pi = _pi_matrix(market, strategy, grid, values, sub, pi_cap)
+    _, dt, alpha, beta, increments, pi = _wealth_terms(market, strategy, grid, values,
+                                                       delta, pi_cap)
     bad = ~np.isfinite(pi)
     if np.any(bad):
         row = int(np.argwhere(bad)[0][0])
@@ -187,7 +188,6 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
         err.row = row
         raise err
 
-    increments = np.ascontiguousarray(values[:, sub[1:]] - values[:, sub[:-1]])
     stochastic = np.sum(pi * beta * increments, axis=1)
     drift = np.sum((pi * alpha - 0.5 * pi**2 * beta**2) * dt, axis=1)
     if market.x0 != 1.0:
@@ -216,17 +216,11 @@ def dump_wealth_csv(market: MarketCoefficients, strategy: Strategy, path: Browni
     """Write (t, pi, log_wealth) rows along one path; debug aid."""
     import csv
 
-    sub = _eval_sub_indices(path.grid, market.horizon, delta)
-    values = path.values[None, :]
-    pi = _pi_matrix(market, strategy, path.grid, values, sub, None)[0]
-    t_left = path.grid.points[sub[:-1]]
-    dt = np.diff(path.grid.points[sub])
-    alpha = market.alpha(t_left)
-    beta = market.beta(t_left)
-    increments = path.values[sub[1:]] - path.values[sub[:-1]]
+    t_left, dt, alpha, beta, increments, pi = _wealth_terms(
+        market, strategy, path.grid, path.values[None, :], delta, None)
     running = np.cumsum(pi * beta * increments + (pi * alpha - 0.5 * pi**2 * beta**2) * dt)
     with open(target, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "pi", "log_wealth"])
-        for t, frac, lw in zip(t_left, pi, running):
+        for t, frac, lw in zip(t_left, pi[0], running):
             writer.writerow([f"{t:.17g}", f"{frac:.17g}", f"{lw:.17g}"])

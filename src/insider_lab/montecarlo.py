@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from insider_lab.brownian import TimeGrid, _base_points, mix_seed, union_grid
+from insider_lab.brownian import TimeGrid, mix_seed, union_grid, union_grids
 from insider_lab.forward_sde import ForwardError, check_truncation, log_wealth_matrix
-from insider_lab.schedules import EpsilonSchedule
+from insider_lab.schedules import ConstantSchedule, EpsilonSchedule
 from insider_lab.strategy import (
     HonestStrategy,
     InsiderStrategy,
@@ -178,7 +178,7 @@ def _resolve_threads(threads) -> int:
 
 
 def _chunk_units(n_grid_points: int) -> int:
-    return max(32, min(512, _CHUNK_TARGET // max(1, n_grid_points)))
+    return max(1, min(512, _CHUNK_TARGET // max(1, n_grid_points)))
 
 
 def _normal_block(seeds, sqrt_gaps: np.ndarray) -> np.ndarray:
@@ -199,6 +199,51 @@ def _map_in_order(work, items, threads: int):
         return list(pool.map(work, items))
 
 
+def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int) -> np.ndarray:
+    """Apply fn to the Brownian values of every chunk of units, in unit order.
+
+    Unit k is driven by the generator seeded with mix_seed(seed, k) and
+    sampled at ``points``.  fn maps a (rows, points) block of path values
+    to an array whose last axis runs over those rows; the chunk results
+    are concatenated along it.  A ForwardError aborts the whole batch,
+    naming the failing path's seed and unit when the error carries a row.
+    """
+    sqrt_gaps = np.sqrt(np.diff(points))
+    chunk = _chunk_units(len(points))
+    bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
+
+    def run_chunk(span):
+        lo, hi = span
+        seeds = [mix_seed(seed, k) for k in range(lo, hi)]
+        values = _normal_block(seeds, sqrt_gaps)
+        try:
+            return fn(values)
+        except ForwardError as exc:
+            row = getattr(exc, "row", None)
+            where = "" if row is None else (
+                f"path with seed {seeds[row]} (unit {lo + row}) failed: ")
+            raise BatchAbort(f"batch aborted: {where}{exc}") from exc
+
+    return np.concatenate(_map_in_order(run_chunk, bounds, threads), axis=-1)
+
+
+def _antithetic_log_wealth(cfg: ExperimentConfig, grids, values: np.ndarray) -> list:
+    """Log wealth of every row on each grid, averaged with its negated path.
+
+    Without antithetic pairing the plain log wealth is returned.  The
+    block is negated in place, so ``values`` is spent afterwards.
+    """
+    def on_grids():
+        return [log_wealth_matrix(cfg.market, cfg.strategy, g, values, cfg.delta,
+                                  pi_cap=cfg.pi_cap)[0] for g in grids]
+
+    plus = on_grids()
+    if not cfg.antithetic:
+        return plus
+    np.negative(values, out=values)
+    return [0.5 * (p + m) for p, m in zip(plus, on_grids())]
+
+
 def _estimate_from_sample(sample: np.ndarray) -> McEstimate:
     n = int(sample.size)
     mean = float(np.mean(sample))
@@ -217,35 +262,8 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
     check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    sqrt_gaps = np.sqrt(np.diff(grid.points))
-    chunk = _chunk_units(len(grid.points))
-    bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
-
-    def run_chunk(span):
-        lo, hi = span
-        seeds = [mix_seed(cfg.master_seed, k) for k in range(lo, hi)]
-        values = _normal_block(seeds, sqrt_gaps)
-        try:
-            plus = log_wealth_matrix(
-                cfg.market, cfg.strategy, grid, values, cfg.delta, pi_cap=cfg.pi_cap
-            )[0]
-            if not cfg.antithetic:
-                return plus
-            np.negative(values, out=values)
-            minus = log_wealth_matrix(
-                cfg.market, cfg.strategy, grid, values, cfg.delta, pi_cap=cfg.pi_cap
-            )[0]
-        except ForwardError as exc:
-            row = getattr(exc, "row", None)
-            if row is None:
-                raise BatchAbort(f"batch aborted: {exc}") from exc
-            raise BatchAbort(
-                f"batch aborted: path with seed {seeds[row]} "
-                f"(unit {lo + row}) failed: {exc}"
-            ) from exc
-        return 0.5 * (plus + minus)
-
-    sample = np.concatenate(_map_in_order(run_chunk, bounds, threads))
+    sample = _run_chunks(units, cfg.master_seed, grid.points,
+                         lambda v: _antithetic_log_wealth(cfg, [grid], v)[0], threads)
     return _estimate_from_sample(sample)
 
 
@@ -320,71 +338,20 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
     if factor < 2:
         raise MonteCarloError(f"refinement factor must be at least 2, got {factor}")
     threads = _resolve_threads(threads)
-    T = cfg.market.horizon
-
     sizes = [cfg.base_points * factor**k for k in range(levels)]
-    segments = []
-    for n in sizes:
-        base = _base_points(n, T, cfg.delta)
-        anchors = base + cfg.schedule._eval_extended(base)
-        segments.append((base, anchors))
-
-    merged = np.concatenate([arr for pair in segments for arr in pair])
-    order = np.argsort(merged, kind="stable")
-    ranked = merged[order]
-    keep = np.empty(len(ranked), dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(ranked), 1e-12, out=keep[1:])
-    points = ranked[keep]
-    rep = np.cumsum(keep) - 1
-    inverse = np.empty(len(ranked), dtype=np.int64)
-    inverse[order] = rep
-
-    grids = []
-    offset = 0
-    for base, anchors in segments:
-        base_idx = inverse[offset: offset + len(base)]
-        anchor_idx = inverse[offset + len(base): offset + len(base) + len(anchors)]
-        offset += len(base) + len(anchors)
-        grids.append(TimeGrid(
-            points=points,
-            max_horizon=float(points[-1]),
-            base_indices=base_idx,
-            anchor_indices=anchor_idx,
-        ))
-
+    grids = union_grids(sizes, cfg.schedule, cfg.delta)
     for grid in grids:
         check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
     centers = [discretized_mean(cfg.market, cfg.strategy, g, cfg.delta) for g in grids]
     center_avg = float(np.mean(centers))
 
-    units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    sqrt_gaps = np.sqrt(np.diff(points))
-    chunk = _chunk_units(len(points))
-    bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
-
-    def run_chunk(span):
-        lo, hi = span
-        seeds = [mix_seed(cfg.master_seed, k) for k in range(lo, hi)]
-        values = _normal_block(seeds, sqrt_gaps)
-        per_level = [
-            log_wealth_matrix(
-                cfg.market, cfg.strategy, g, values, cfg.delta, pi_cap=cfg.pi_cap
-            )[0]
-            for g in grids
-        ]
-        if cfg.antithetic:
-            np.negative(values, out=values)
-            for j, g in enumerate(grids):
-                minus = log_wealth_matrix(
-                    cfg.market, cfg.strategy, g, values, cfg.delta, pi_cap=cfg.pi_cap
-                )[0]
-                per_level[j] = 0.5 * (per_level[j] + minus)
+    def run_chunk(values):
+        per_level = _antithetic_log_wealth(cfg, grids, values)
         control = np.mean(per_level, axis=0) - center_avg
         return np.stack([x - control for x in per_level])
 
-    parts = _map_in_order(run_chunk, bounds, threads)
-    stacked = np.concatenate(parts, axis=1)
+    units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    stacked = _run_chunks(units, cfg.master_seed, grids[0].points, run_chunk, threads)
     return [
         RefinementLevel(base_points=n, estimate=_estimate_from_sample(stacked[j]))
         for j, n in enumerate(sizes)
@@ -414,8 +381,6 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
     if canon == "constant_lookahead":
         if eps is None or not (math.isfinite(eps) and eps > 0):
             raise MonteCarloError(f"constant_lookahead needs eps > 0, got {eps!r}")
-        from insider_lab.schedules import ConstantSchedule
-
         grid = union_grid(base_points, ConstantSchedule(value=eps, horizon=T), 0.0)
         analytic = T
     elif canon in ("terminal_value", "adapted_one"):
@@ -429,14 +394,7 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
             "terminal_value or adapted_one"
         )
 
-    sqrt_gaps = np.sqrt(np.diff(grid.points))
-    chunk = _chunk_units(len(grid.points))
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-
-    def run_chunk(span):
-        lo, hi = span
-        seeds = [mix_seed(seed, k) for k in range(lo, hi)]
-        values = _normal_block(seeds, sqrt_gaps)
+    def run_chunk(values):
         if canon == "constant_lookahead":
             sub = np.asarray(grid.base_indices, dtype=np.int64)
             anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: sub.size - 1]
@@ -448,7 +406,7 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
             return np.sum(values[:, -1:] * inc, axis=1)
         return values[:, -1] - values[:, 0]
 
-    sample = np.concatenate(_map_in_order(run_chunk, bounds, threads))
+    sample = _run_chunks(n_paths, seed, grid.points, run_chunk, threads)
     return _estimate_from_sample(sample), analytic
 
 

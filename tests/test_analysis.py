@@ -11,6 +11,7 @@ from insider_lab.analysis import (
     Verdict,
     benchmark_value,
     compare,
+    grade,
     honest_utility,
     report_dict,
     sweep_to_csv,
@@ -172,6 +173,24 @@ class TestComparisonReport:
         mc = McEstimate(mean=1.1, stderr=0.05, n_paths=100)
         with pytest.raises(AnalysisError, match="z_score"):
             ComparisonReport(theory=1.0, mc=mc, delta=0.0, z_score=5.0)
+
+
+class TestGrade:
+    def test_report_verdict_follows_grade(self):
+        mc = McEstimate(mean=1.015, stderr=0.001, n_paths=100)
+        rep = ComparisonReport(theory=1.0, mc=mc, delta=0.0, abs_tol=0.02)
+        assert (rep.z_score, rep.verdict) == grade(mc.mean - 1.0, mc.stderr, 0.02)
+
+    def test_zero_abs_tol_grades_at_three_sigma(self):
+        assert grade(0.029, 0.01)[1] is Verdict.PASS
+        assert grade(-0.031, 0.01)[1] is Verdict.FAIL
+        assert grade(0.031, 0.01, abs_tol=0.05)[1] is Verdict.PASS
+
+    def test_exact_hit_passes_and_nan_fails(self):
+        assert grade(0.0, 0.0) == (0.0, Verdict.PASS)
+        z, verdict = grade(math.nan, 0.1)
+        assert math.isnan(z)
+        assert verdict is Verdict.FAIL
 
 
 class TestCompare:

@@ -13,6 +13,7 @@ from insider_lab.brownian import (
     mix_seed,
     sample_path,
     union_grid,
+    union_grids,
     value_at,
 )
 from insider_lab.schedules import (
@@ -92,6 +93,20 @@ class TestUnionGrid:
     def test_bad_delta(self):
         with pytest.raises(GridError, match="delta"):
             union_grid(16, ConstantSchedule(1.0, 1.0), 1.0)
+
+    def test_levels_share_points_and_keep_their_own_times(self):
+        s = PowerLawSchedule(0.5, 1.0)
+        grids = union_grids([64, 256], s, 1e-2)
+        assert grids[0].points is grids[1].points
+        for n, g in zip([64, 256], grids):
+            alone = union_grid(n, s, 1e-2)
+            for idx, own in ((g.base_indices, alone.base_indices),
+                             (g.anchor_indices, alone.anchor_indices)):
+                np.testing.assert_allclose(g.points[idx], alone.points[own],
+                                           rtol=0, atol=1e-12)
+        # every point of the shared set is some level's base or anchor time
+        used = np.concatenate([np.r_[g.base_indices, g.anchor_indices] for g in grids])
+        assert np.array_equal(np.unique(used), np.arange(len(grids[0])))
 
 
 class TestSampling:

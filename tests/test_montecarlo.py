@@ -9,6 +9,7 @@ import pytest
 import insider_lab.montecarlo as mc
 from insider_lab.brownian import mix_seed, union_grid
 from insider_lab.montecarlo import (
+    BatchAbort,
     ExperimentConfig,
     McEstimate,
     MonteCarloError,
@@ -23,7 +24,13 @@ from insider_lab.montecarlo import (
     refinement_study,
     run_experiment,
 )
-from insider_lab.schedules import AffineBelowSchedule, ConstantSchedule, PowerLawSchedule
+from insider_lab.schedules import (
+    AffineBelowSchedule,
+    ConstantSchedule,
+    PowerLawSchedule,
+    ScheduleError,
+    TableSchedule,
+)
 from insider_lab.strategy import (
     HonestStrategy,
     InsiderStrategy,
@@ -205,6 +212,15 @@ class TestDeterminism:
         assert one.mean == four.mean == eight.mean
         assert one.stderr == four.stderr == eight.stderr
 
+    def test_chunk_memory_bounded_by_target(self):
+        # 2792675 is the shared grid of refine --levels 5 --factor 4 from
+        # 4096 base points; no row floor may push a chunk past the target
+        sizes = [2, 511, 8192, 8193, 42984, 131072, 131073, 1 << 22, (1 << 22) + 1]
+        for points in sizes + list(range(100_000, 2_792_676, 4_321)) + [2_792_675]:
+            rows = mc._chunk_units(points)
+            assert 1 <= rows <= 512
+            assert rows * points <= max(mc._CHUNK_TARGET, points), points
+
     def test_chunk_size_does_not_change_bits(self, monkeypatch):
         cfg = insider_config(n_paths=400, base_points=512)
         coarse = estimate_log_utility(cfg)
@@ -234,6 +250,12 @@ class TestFailurePropagation:
         cfg = honest_config(strategy=TableStrategy(knots=knots))
         with pytest.raises(MonteCarloError, match=str(mix_seed(42, 0))):
             estimate_log_utility(cfg)
+
+    def test_bad_path_aborts_refine_with_seed(self):
+        knots = ((0.0, math.nan), (1.0, math.nan))
+        cfg = honest_config(strategy=TableStrategy(knots=knots))
+        with pytest.raises(BatchAbort, match=str(mix_seed(42, 0))):
+            refinement_study(cfg, levels=2)
 
 
 class TestCiCalibration:
@@ -320,6 +342,14 @@ class TestRefinementStudy:
     def test_needs_two_levels(self):
         with pytest.raises(MonteCarloError, match="2 levels"):
             refinement_study(insider_config(n_paths=400, base_points=512), levels=1)
+
+    def test_mixed_table_refused_like_simulate(self):
+        sched = TableSchedule(knots=((0.0, 0.5), (1.0, 0.5)), horizon=1.0)
+        cfg = honest_config(schedule=sched, delta=1e-2)
+        with pytest.raises(ScheduleError, match="mixed"):
+            estimate_log_utility(cfg)
+        with pytest.raises(ScheduleError, match="mixed"):
+            refinement_study(cfg, levels=2)
 
     def test_determinism_across_threads(self):
         cfg = insider_config(n_paths=400, base_points=512)
