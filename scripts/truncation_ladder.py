@@ -11,8 +11,7 @@ visible line by line.
 import argparse
 
 from insider_lab.analysis import truncation_sweep
-from insider_lab.montecarlo import ExperimentConfig
-from insider_lab.schedules import parse_schedule
+from insider_lab.config import ExperimentConfig, parse_schedule
 from insider_lab.strategy import InsiderStrategy, MarketCoefficients
 
 

@@ -15,11 +15,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from insider_lab.montecarlo import (
-    ExperimentConfig,
-    McEstimate,
-    estimate_log_utility,
-)
+from insider_lab.config import ExperimentConfig, describe
+from insider_lab.montecarlo import McEstimate, estimate_log_utility
 from insider_lab.schedules import (
     Classification,
     EpsilonSchedule,
@@ -91,7 +88,7 @@ def benchmark_value(market: MarketCoefficients, schedule: EpsilonSchedule,
     if isinstance(strategy, InsiderStrategy):
         return theoretical_utility(market, schedule, delta)
     raise AnalysisError(
-        f"no closed-form benchmark for strategy {strategy.describe()!r}; "
+        f"no closed-form benchmark for strategy {describe(strategy)!r}; "
         "only the honest and look-ahead portfolios have one"
     )
 

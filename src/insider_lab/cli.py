@@ -30,6 +30,20 @@ import numpy as np
 
 from insider_lab import analysis
 from insider_lab.brownian import dump_path_csv, mix_seed, sample_path, union_grid
+from insider_lab.config import (
+    MARKET_DEFAULTS,
+    STRATEGY_DEFAULT,
+    ExperimentConfig,
+    MonteCarloError,
+    config_digest,
+    describe,
+    from_dict,
+    parse_schedule,
+    schedule_literal,
+    strategy_literal,
+    to_dict,
+    to_entry,
+)
 from insider_lab.donsker import (
     DonskerParams,
     cond_delta_2d,
@@ -39,30 +53,14 @@ from insider_lab.donsker import (
 from insider_lab.forward_sde import dump_wealth_csv
 from insider_lab.montecarlo import (
     BatchAbort,
-    ExperimentConfig,
-    MonteCarloError,
     bridge_drift_regression,
-    config_dict,
-    config_digest,
     duality_check,
     martingale_gap_check,
     refinement_study,
     run_experiment,
 )
-from insider_lab.schedules import (
-    QuadratureError,
-    classify_viability,
-    parse_schedule,
-    schedule_from_config,
-    viability_integral,
-)
-from insider_lab.strategy import (
-    HonestStrategy,
-    InsiderStrategy,
-    MarketCoefficients,
-    TableStrategy,
-    parse_strategy,
-)
+from insider_lab.schedules import QuadratureError, classify_viability, viability_integral
+from insider_lab.strategy import MarketCoefficients
 
 
 class CliError(ValueError):
@@ -76,21 +74,15 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# Defaults for the experiment commands; a config file and then inline
-# flags are layered on top of this dict.
-_EXPERIMENT_DEFAULTS = {
-    "market": {"alpha": 0.1, "beta": 0.2, "horizon": 1.0, "x0": 1.0},
-    "schedule": None,
-    "strategy": {"kind": "insider"},
-    "n_paths": 200000,
-    "base_points": 4096,
-    "delta": 0.0,
-    "master_seed": 42,
-    "antithetic": True,
-    "pi_cap": None,
-}
-
-_MARKET_KEYS = ("alpha", "beta", "horizon", "x0")
+# (argparse dest, config key) of every experiment flag; a flag that is
+# set replaces the key's value, and dotted keys sit in the market object
+_FLAG_KEYS = (
+    ("schedule", "schedule"), ("strategy", "strategy"), ("alpha", "market.alpha"),
+    ("beta", "market.beta"), ("horizon", "market.horizon"), ("x0", "market.x0"),
+    ("paths", "n_paths"), ("base_points", "base_points"), ("delta", "delta"),
+    ("seed", "master_seed"), ("antithetic", "antithetic"), ("pi_cap", "pi_cap"),
+)
+_LITERALS = {"schedule": schedule_literal, "strategy": strategy_literal}
 
 
 def _add_io_flags(p):
@@ -106,17 +98,24 @@ def _add_experiment_flags(p):
                    help="look-ahead literal: powerlaw:q=0.5, const:1, "
                         "affine_below:c=0.5 or table:@knots.csv")
     p.add_argument("--strategy",
-                   help="merton, insider or table:@profile.csv (default insider)")
-    p.add_argument("--alpha", type=float, help="drift coefficient (default 0.1)")
-    p.add_argument("--beta", type=float, help="volatility coefficient (default 0.2)")
-    p.add_argument("--T", type=float, dest="horizon", help="time horizon (default 1)")
-    p.add_argument("--x0", type=float, help="initial wealth (default 1)")
-    p.add_argument("--paths", type=int, help="number of simulated paths (default 200000)")
-    p.add_argument("--base-points", type=int,
-                   help="base grid resolution, a power of two (default 4096)")
-    p.add_argument("--delta", type=float,
-                   help="truncation distance from the horizon (default 0)")
-    p.add_argument("--seed", type=int, help="master seed (default 42)")
+                   help="merton, insider or table:@profile.csv "
+                        f"(default {STRATEGY_DEFAULT['kind']})")
+    p.add_argument("--alpha", type=float,
+                   help=f"drift coefficient (default {MARKET_DEFAULTS['alpha']:g})")
+    p.add_argument("--beta", type=float,
+                   help=f"volatility coefficient (default {MARKET_DEFAULTS['beta']:g})")
+    p.add_argument("--T", type=float, dest="horizon",
+                   help=f"time horizon (default {MARKET_DEFAULTS['horizon']:g})")
+    p.add_argument("--x0", type=float,
+                   help=f"initial wealth (default {MarketCoefficients.x0:g})")
+    p.add_argument("--paths", type=int,
+                   help=f"number of simulated paths (default {ExperimentConfig.n_paths})")
+    p.add_argument("--base-points", type=int, help="base grid resolution, a power of "
+                   f"two (default {ExperimentConfig.base_points})")
+    p.add_argument("--delta", type=float, help="truncation distance from the horizon "
+                   f"(default {ExperimentConfig.delta:g})")
+    p.add_argument("--seed", type=int,
+                   help=f"master seed (default {ExperimentConfig.master_seed})")
     p.add_argument("--antithetic", action=argparse.BooleanOptionalAction, default=None,
                    help="antithetic pairing (default on)")
     p.add_argument("--pi-cap", type=float,
@@ -251,104 +250,23 @@ def _load_config_file(path) -> dict:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_EXPERIMENT_DEFAULTS))
-    if unknown:
-        raise CliError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    market = data.get("market", {})
-    if not isinstance(market, dict):
-        raise CliError(f"config key 'market' must be an object, got {market!r}")
-    unknown = sorted(set(market) - set(_MARKET_KEYS))
-    if unknown:
-        raise CliError(f"unknown market key(s) in {path}: {', '.join(unknown)}")
     return data
 
 
-def _merge_experiment(args) -> dict:
-    merged = {k: (dict(v) if isinstance(v, dict) else v)
-              for k, v in _EXPERIMENT_DEFAULTS.items()}
-    if args.config:
-        data = _load_config_file(args.config)
-        merged["market"].update(data.pop("market", {}))
-        merged.update(data)
-    if args.alpha is not None:
-        merged["market"]["alpha"] = args.alpha
-    if args.beta is not None:
-        merged["market"]["beta"] = args.beta
-    if args.horizon is not None:
-        merged["market"]["horizon"] = args.horizon
-    if args.x0 is not None:
-        merged["market"]["x0"] = args.x0
-    if args.paths is not None:
-        merged["n_paths"] = args.paths
-    if args.base_points is not None:
-        merged["base_points"] = args.base_points
-    if args.delta is not None:
-        merged["delta"] = args.delta
-    if args.seed is not None:
-        merged["master_seed"] = args.seed
-    if args.antithetic is not None:
-        merged["antithetic"] = args.antithetic
-    if args.pi_cap is not None:
-        merged["pi_cap"] = args.pi_cap
-    if not isinstance(merged["antithetic"], bool):
-        raise CliError(f"config key 'antithetic' must be true or false, "
-                       f"got {merged['antithetic']!r}")
-    return merged
-
-
-def _strategy_from_config(entry, schedule):
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise CliError(f"strategy config must be an object with a 'kind', got {entry!r}")
-    kind = entry["kind"]
-    allowed = {"merton": {"kind"}, "insider": {"kind"}, "table": {"kind", "knots"}}
-    if kind not in allowed:
-        raise CliError(f"unknown strategy kind {kind!r} in config")
-    extra = sorted(set(entry) - allowed[kind])
-    if extra:
-        raise CliError(f"unknown key(s) in strategy config: {', '.join(extra)}")
-    if kind == "merton":
-        return HonestStrategy()
-    if kind == "insider":
-        return InsiderStrategy(schedule)
-    if "knots" not in entry:
-        raise CliError("table strategy config needs a 'knots' list")
-    try:
-        knots = tuple((float(t), float(v)) for t, v in entry["knots"])
-    except (TypeError, ValueError):
-        raise CliError(f"strategy knots must be [time, value] pairs, "
-                       f"got {entry['knots']!r}") from None
-    return TableStrategy(knots)
-
-
 def _build_config(args) -> ExperimentConfig:
-    merged = _merge_experiment(args)
-    try:
-        horizon = float(merged["market"]["horizon"])
-    except (TypeError, ValueError):
-        raise CliError(f"market horizon must be a number, "
-                       f"got {merged['market']['horizon']!r}") from None
-    if args.schedule is not None:
-        schedule = parse_schedule(args.schedule, horizon)
-    elif merged["schedule"] is not None:
-        schedule = schedule_from_config(merged["schedule"], horizon)
-    else:
-        raise CliError("a look-ahead schedule is required: pass --schedule "
-                       "or a config file that defines one")
-    if args.strategy is not None:
-        strategy = parse_strategy(args.strategy, schedule)
-    else:
-        strategy = _strategy_from_config(merged["strategy"], schedule)
-    market = MarketCoefficients(alpha=merged["market"]["alpha"],
-                                beta=merged["market"]["beta"],
-                                horizon=horizon,
-                                x0=float(merged["market"]["x0"]))
-    return ExperimentConfig(market=market, schedule=schedule, strategy=strategy,
-                            n_paths=merged["n_paths"],
-                            base_points=merged["base_points"],
-                            delta=float(merged["delta"]),
-                            master_seed=merged["master_seed"],
-                            antithetic=merged["antithetic"],
-                            pi_cap=merged["pi_cap"])
+    data = _load_config_file(args.config) if args.config else {}
+    for flag, key in _FLAG_KEYS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        section, _, leaf = key.rpartition(".")
+        target = data.setdefault(section, {}) if section else data
+        if isinstance(target, dict):  # otherwise from_dict names the bad section
+            target[leaf] = _LITERALS[flag](value) if flag in _LITERALS else value
+    cfg = from_dict(data)
+    if args.dump_config:
+        _write_json(args.dump_config, to_dict(cfg))
+    return cfg
 
 
 def _threads_from(args):
@@ -381,7 +299,7 @@ def _cmd_viability(args):
     report = classify_viability(schedule, tol=args.tol)
     payload = {
         "command": "viability",
-        "schedule": schedule._config_entry(),
+        "schedule": to_entry(schedule),
         "horizon": args.horizon,
         "classification": report.classification.value,
         "integral": None if report.divergent else report.integral_value,
@@ -401,10 +319,10 @@ def _cmd_viability(args):
         else:
             _write_csv(args.output,
                        ["schedule", "horizon", "classification", "integral", "method"],
-                       [[schedule.describe(), args.horizon,
+                       [[describe(schedule), args.horizon,
                          report.classification.value, report.integral_label(),
                          report.method.value]])
-    print(f"{schedule.describe()} on [0, {args.horizon:g}] -> "
+    print(f"{describe(schedule)} on [0, {args.horizon:g}] -> "
           f"{report.classification.value} "
           f"(integral {report.integral_label()}, {report.method.value})")
     return 0
@@ -412,10 +330,8 @@ def _cmd_viability(args):
 
 def _cmd_simulate(args):
     cfg = _build_config(args)
-    if args.dump_config:
-        _write_json(args.dump_config, config_dict(cfg))
     result = run_experiment(cfg, threads=_threads_from(args))
-    payload = {"command": "simulate", "config": config_dict(cfg), **result}
+    payload = {"command": "simulate", "config": to_dict(cfg), **result}
     if args.dump_path or args.dump_wealth:
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
         path = sample_path(grid, mix_seed(cfg.master_seed, 0))
@@ -442,10 +358,8 @@ def _cmd_simulate(args):
 
 def _cmd_compare(args):
     cfg = _build_config(args)
-    if args.dump_config:
-        _write_json(args.dump_config, config_dict(cfg))
     report = analysis.compare(cfg, abs_tol=args.abs_tol, threads=_threads_from(args))
-    payload = {"command": "compare", "config": config_dict(cfg),
+    payload = {"command": "compare", "config": to_dict(cfg),
                "config_digest": config_digest(cfg),
                "report": analysis.report_dict(report)}
     if args.output:
@@ -473,12 +387,10 @@ def _parse_deltas(text: str) -> list[float]:
 
 def _cmd_sweep(args):
     cfg = _build_config(args)
-    if args.dump_config:
-        _write_json(args.dump_config, config_dict(cfg))
     deltas = _parse_deltas(args.deltas)
     reports = analysis.truncation_sweep(cfg, deltas, abs_tol=args.abs_tol,
                                         threads=_threads_from(args))
-    payload = {"command": "sweep", "config": config_dict(cfg),
+    payload = {"command": "sweep", "config": to_dict(cfg),
                "config_digest": config_digest(cfg),
                "reports": [analysis.report_dict(rep) for rep in reports]}
     if args.output:
@@ -496,8 +408,6 @@ def _cmd_sweep(args):
 
 def _cmd_refine(args):
     cfg = _build_config(args)
-    if args.dump_config:
-        _write_json(args.dump_config, config_dict(cfg))
     theory = analysis.benchmark_value(cfg.market, cfg.schedule, cfg.strategy,
                                       cfg.delta)
     levels = refinement_study(cfg, levels=args.levels, factor=args.factor,
@@ -512,7 +422,7 @@ def _cmd_refine(args):
     rows = [{"base_points": level.base_points, "mean": level.estimate.mean,
              "stderr": level.estimate.stderr, "abs_gap": gap}
             for level, gap in zip(levels, gaps)]
-    payload = {"command": "refine", "config": config_dict(cfg),
+    payload = {"command": "refine", "config": to_dict(cfg),
                "config_digest": config_digest(cfg), "theory": theory,
                "levels": rows, "gap_ratios": ratios,
                "min_ratio": args.min_ratio, "verdict": verdict}

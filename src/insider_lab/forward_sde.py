@@ -172,13 +172,12 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
     ``values`` has one row per path, aligned with ``grid.points``.
     Returns (log_wealth, stochastic_part, drift_part) arrays, one entry
     per row.  Raises ForwardError naming the offending row if any
-    portfolio fraction fails to be finite.
+    portfolio fraction fails to be finite.  Callers run check_truncation.
     """
     T = market.horizon
     if not (0 <= delta < T):
         raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    check_truncation(market, strategy, grid, delta)
     _, dt, alpha, beta, increments, pi = _wealth_terms(market, strategy, grid, values,
                                                        delta, pi_cap)
     bad = ~np.isfinite(pi)
@@ -199,10 +198,11 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
 
 def log_wealth(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
                delta: float, pi_cap: float | None = None) -> LogWealthSample:
-    """Log wealth of one path at horizon T - delta."""
+    """Log wealth of one path at horizon T - delta, refused if check_truncation fails."""
     total, stoch, drift = log_wealth_matrix(
         market, strategy, path.grid, path.values[None, :], delta, pi_cap
     )
+    check_truncation(market, strategy, path.grid, delta)
     return LogWealthSample(
         horizon=market.horizon - delta,
         log_wealth=float(total[0]),

@@ -11,7 +11,6 @@ means.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -21,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from insider_lab.brownian import TimeGrid, mix_seed, union_grid, union_grids
+from insider_lab.config import ExperimentConfig, MonteCarloError, config_digest
 from insider_lab.forward_sde import ForwardError, check_truncation, log_wealth_matrix
-from insider_lab.schedules import ConstantSchedule, EpsilonSchedule
+from insider_lab.schedules import ConstantSchedule
 from insider_lab.strategy import (
     HonestStrategy,
     InsiderStrategy,
@@ -34,10 +34,6 @@ from insider_lab.strategy import (
 # target size of one simulation block, in doubles; keeps peak memory flat
 # as grids grow while leaving enough rows for vectorization to pay off
 _CHUNK_TARGET = 1 << 22
-
-
-class MonteCarloError(RuntimeError):
-    """Estimation aborted: bad configuration or a failing path."""
 
 
 class BatchAbort(MonteCarloError):
@@ -73,100 +69,6 @@ class McEstimate:
 
     def covers(self, value: float) -> bool:
         return self.ci95[0] <= value <= self.ci95[1]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything that determines an estimate, and nothing that doesn't.
-
-    Worker-thread count is deliberately not part of the config: it must
-    never change the result, so it stays a runtime knob.
-    """
-
-    market: MarketCoefficients
-    schedule: EpsilonSchedule
-    strategy: Strategy
-    n_paths: int
-    base_points: int
-    delta: float
-    master_seed: int = 42
-    antithetic: bool = True
-    pi_cap: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.n_paths, int) or self.n_paths < 100:
-            raise MonteCarloError(f"n_paths must be an integer >= 100, got {self.n_paths!r}")
-        bp = self.base_points
-        if not isinstance(bp, int) or bp < 256 or bp & (bp - 1):
-            raise MonteCarloError(
-                f"base_points must be a power of two >= 256, got {bp!r}"
-            )
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
-            raise MonteCarloError(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
-        if not 0 <= self.delta < self.market.horizon:
-            raise MonteCarloError(
-                f"truncation delta must lie in [0, {self.market.horizon}), got {self.delta!r}"
-            )
-        if abs(self.schedule.horizon - self.market.horizon) > 1e-12:
-            raise MonteCarloError(
-                f"schedule horizon {self.schedule.horizon} disagrees with "
-                f"market horizon {self.market.horizon}"
-            )
-        if isinstance(self.strategy, InsiderStrategy):
-            if self.strategy.schedule._config_entry() != self.schedule._config_entry():
-                raise MonteCarloError(
-                    "look-ahead strategy must use the experiment's schedule"
-                )
-        if self.antithetic and self.n_paths % 2:
-            raise MonteCarloError("antithetic pairing needs an even n_paths")
-        if self.pi_cap is not None:
-            cap = self.pi_cap
-            if not (isinstance(cap, (int, float)) and math.isfinite(cap) and cap > 0):
-                raise MonteCarloError(f"pi_cap must be a positive number, got {cap!r}")
-
-
-def _strategy_entry(strategy: Strategy):
-    if isinstance(strategy, HonestStrategy):
-        return {"kind": "merton"}
-    if isinstance(strategy, InsiderStrategy):
-        return {"kind": "insider"}
-    if isinstance(strategy, TableStrategy):
-        return {"kind": "table", "knots": [[float(t), float(v)] for t, v in strategy.knots]}
-    raise MonteCarloError(f"cannot serialize strategy {strategy!r}")
-
-
-def config_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical plain-data form of a config, stable across runs."""
-    return {
-        "market": {
-            "alpha": cfg.market.alpha._config_entry(),
-            "beta": cfg.market.beta._config_entry(),
-            "horizon": cfg.market.horizon,
-            "x0": cfg.market.x0,
-        },
-        "schedule": cfg.schedule._config_entry(),
-        "strategy": _strategy_entry(cfg.strategy),
-        "n_paths": cfg.n_paths,
-        "base_points": cfg.base_points,
-        "delta": cfg.delta,
-        "master_seed": cfg.master_seed,
-        "antithetic": cfg.antithetic,
-        "pi_cap": cfg.pi_cap,
-    }
-
-
-def digest_of(payload: dict) -> str:
-    """64-bit FNV-1a over the canonical JSON encoding, as 16 hex digits."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    acc = 0xCBF29CE484222325
-    for byte in blob:
-        acc ^= byte
-        acc = (acc * 0x100000001B3) % 2**64
-    return f"{acc:016x}"
-
-
-def config_digest(cfg: ExperimentConfig) -> str:
-    return digest_of(config_dict(cfg))
 
 
 def _resolve_threads(threads) -> int:

@@ -10,15 +10,13 @@ unbounded expected log wealth as the horizon is approached.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-#: Grid size used for the sampled regime and construction checks.
+#: Grid size of the sampled anchor-convergence check.
 CHECK_POINTS = 1024
 
 #: Truncations at which every viability report tabulates the integral.
@@ -112,12 +110,6 @@ class EpsilonSchedule:
         """Initial look-ahead eval(0); reported as metadata only."""
         return float(self.eval(0.0))
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
-    def _config_entry(self) -> dict:
-        raise NotImplementedError
-
 
 def _validate_horizon(T: float) -> None:
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
@@ -176,12 +168,6 @@ class PowerLawSchedule(EpsilonSchedule):
     def _eval_array(self, t):
         return np.power(self.horizon - t, self.exponent)
 
-    def describe(self) -> str:
-        return f"powerlaw:q={self.exponent:g}"
-
-    def _config_entry(self) -> dict:
-        return {"kind": "powerlaw", "q": self.exponent}
-
 
 @dataclass(frozen=True)
 class ConstantSchedule(EpsilonSchedule):
@@ -198,12 +184,6 @@ class ConstantSchedule(EpsilonSchedule):
     def _eval_array(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
 
-    def describe(self) -> str:
-        return f"const:{self.value:g}"
-
-    def _config_entry(self) -> dict:
-        return {"kind": "const", "value": self.value}
-
 
 @dataclass(frozen=True)
 class AffineBelowSchedule(EpsilonSchedule):
@@ -219,12 +199,6 @@ class AffineBelowSchedule(EpsilonSchedule):
 
     def _eval_array(self, t):
         return self.slope * (self.horizon - t)
-
-    def describe(self) -> str:
-        return f"affine_below:c={self.slope:g}"
-
-    def _config_entry(self) -> dict:
-        return {"kind": "affine_below", "c": self.slope}
 
 
 @dataclass(frozen=True)
@@ -262,12 +236,6 @@ class TableSchedule(EpsilonSchedule):
         eps = np.array([k[1] for k in self.knots], dtype=float)
         return np.interp(t, times, eps)
 
-    def describe(self) -> str:
-        return f"table:{len(self.knots)} knots"
-
-    def _config_entry(self) -> dict:
-        return {"kind": "table", "knots": [list(k) for k in self.knots]}
-
 
 def regime(schedule: EpsilonSchedule) -> Regime:
     """Classify where the anchors t + eps_t sit relative to the horizon.
@@ -275,15 +243,19 @@ def regime(schedule: EpsilonSchedule) -> Regime:
     Power-law schedules always belong to the above-horizon family (the
     constructor restricts them to horizons where that comparison is
     meaningful), and affine-below schedules sit below it by
-    construction.  Other kinds are checked on a CHECK_POINTS grid.
+    construction.  Constant and table anchor maps are piecewise linear,
+    so their anchors at 0, at the knots inside [0, T) and the limit
+    T + eps(T) decide the regime exactly.
     """
     if isinstance(schedule, PowerLawSchedule):
         return Regime.ABOVE_HORIZON
     if isinstance(schedule, AffineBelowSchedule):
         return Regime.BELOW_HORIZON
     T = schedule.horizon
-    t = np.linspace(0.0, T, CHECK_POINTS, endpoint=False)
-    anchors = t + schedule._eval_array(t)
+    t = np.array([0.0, T])
+    if isinstance(schedule, TableSchedule):
+        t = np.union1d(t, [k[0] for k in schedule.knots if 0.0 <= k[0] < T])
+    anchors = t + schedule._eval_extended(t)
     tol = 1e-12 * max(1.0, T)
     if np.all(anchors >= T - tol):
         return Regime.ABOVE_HORIZON
@@ -422,91 +394,3 @@ def classify_viability(schedule: EpsilonSchedule, tol: float = 1e-9) -> Viabilit
         except QuadratureError as exc:
             trace.append((d, exc.partial))
     return ViabilityReport(cls, value, method, tuple(trace))
-
-
-def load_table_csv(path) -> tuple[tuple[float, float], ...]:
-    """Read (t, eps) knots from a CSV file with a required header."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ScheduleError(f"table file {path} is empty") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["t", "eps"]:
-            raise ScheduleError(
-                f"table file {path} must start with header 't,eps'; got {header!r}"
-            )
-        knots = []
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                knots.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise ScheduleError(f"bad table row in {path}: {row!r}") from None
-    return tuple(knots)
-
-
-def parse_schedule(text: str, horizon: float) -> EpsilonSchedule:
-    """Build a schedule from a CLI literal.
-
-    Accepted forms: ``powerlaw:q=0.5``, ``const:0.5``,
-    ``affine_below:c=0.5`` and ``table:@knots.csv``.
-    """
-    kind, sep, arg = text.partition(":")
-    if not sep:
-        raise ScheduleError(f"schedule literal must look like 'kind:arg', got {text!r}")
-    kind = kind.strip().lower()
-    arg = arg.strip()
-    try:
-        if kind == "powerlaw":
-            key, _, val = arg.partition("=")
-            if key.strip() != "q":
-                raise ScheduleError(f"powerlaw takes q=<value>, got {arg!r}")
-            return PowerLawSchedule(float(val), horizon)
-        if kind == "const":
-            return ConstantSchedule(float(arg), horizon)
-        if kind == "affine_below":
-            key, _, val = arg.partition("=")
-            if key.strip() != "c":
-                raise ScheduleError(f"affine_below takes c=<value>, got {arg!r}")
-            return AffineBelowSchedule(float(val), horizon)
-        if kind == "table":
-            if not arg.startswith("@"):
-                raise ScheduleError("table schedules are loaded from a file: table:@knots.csv")
-            return TableSchedule(load_table_csv(arg[1:]), horizon)
-    except ValueError as exc:
-        if isinstance(exc, ScheduleError):
-            raise
-        raise ScheduleError(f"could not parse schedule literal {text!r}: {exc}") from None
-    raise ScheduleError(
-        f"unknown schedule kind {kind!r}; expected powerlaw, const, affine_below or table"
-    )
-
-
-def schedule_from_config(entry: dict, horizon: float) -> EpsilonSchedule:
-    """Build a schedule from a parsed JSON config entry."""
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ScheduleError(f"schedule config must be an object with a 'kind', got {entry!r}")
-    kind = entry["kind"]
-    known = {
-        "powerlaw": ({"kind", "q"}, lambda: PowerLawSchedule(float(entry["q"]), horizon)),
-        "const": ({"kind", "value"}, lambda: ConstantSchedule(float(entry["value"]), horizon)),
-        "affine_below": ({"kind", "c"}, lambda: AffineBelowSchedule(float(entry["c"]), horizon)),
-        "table": (
-            {"kind", "knots"},
-            lambda: TableSchedule(tuple((float(t), float(e)) for t, e in entry["knots"]), horizon),
-        ),
-    }
-    if kind not in known:
-        raise ScheduleError(f"unknown schedule kind {kind!r} in config")
-    allowed, build = known[kind]
-    extra = set(entry) - allowed
-    if extra:
-        raise ScheduleError(f"unknown keys in schedule config: {sorted(extra)}")
-    missing = allowed - set(entry)
-    if missing:
-        raise ScheduleError(f"schedule config for {kind!r} missing keys: {sorted(missing)}")
-    return build()

@@ -10,16 +10,17 @@ each other rather than collapsed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from insider_lab.brownian import BrownianPath, value_at
 from insider_lab.donsker import malliavin_ratio
 from insider_lab.schedules import EpsilonSchedule
+
+#: Smallest volatility magnitude a market may have.
+BETA_MIN = 1e-6
 
 
 class StrategyError(ValueError):
@@ -66,11 +67,6 @@ class PiecewiseConstant:
         out = np.asarray(self.values, dtype=float)[idx]
         return float(out) if np.ndim(t) == 0 else out
 
-    def _config_entry(self):
-        if len(self.values) == 1:
-            return self.values[0]
-        return {"breaks": list(self.breaks), "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class MarketCoefficients:
@@ -80,7 +76,6 @@ class MarketCoefficients:
     beta: PiecewiseConstant
     horizon: float
     x0: float = 1.0
-    beta_min: float = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", PiecewiseConstant.from_spec(self.alpha))
@@ -89,9 +84,9 @@ class MarketCoefficients:
             raise StrategyError(f"market horizon must be positive, got {self.horizon!r}")
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise StrategyError(f"initial wealth must be positive, got {self.x0!r}")
-        if any(abs(v) < self.beta_min for v in self.beta.values):
+        if any(abs(v) < BETA_MIN for v in self.beta.values):
             raise StrategyError(
-                f"volatility must stay at least beta_min={self.beta_min} in magnitude"
+                f"volatility must stay at least beta_min={BETA_MIN} in magnitude"
             )
 
     def squared_ratio_integral(self, upto: float) -> float:
@@ -111,18 +106,12 @@ class MarketCoefficients:
 class HonestStrategy:
     """Drift-to-variance portfolio; uses no look-ahead."""
 
-    def describe(self) -> str:
-        return "merton"
-
 
 @dataclass(frozen=True)
 class InsiderStrategy:
     """Honest portfolio plus the look-ahead correction for a schedule."""
 
     schedule: EpsilonSchedule
-
-    def describe(self) -> str:
-        return "insider"
 
 
 @dataclass(frozen=True)
@@ -149,9 +138,6 @@ class TableStrategy:
             )
         out = np.interp(arr, times, fracs)
         return float(out) if arr.ndim == 0 else out
-
-    def describe(self) -> str:
-        return f"table:{len(self.knots)} knots"
 
 
 Strategy = HonestStrategy | InsiderStrategy | TableStrategy
@@ -196,45 +182,3 @@ def donsker_composed(
     b_anchor = value_at(path, t + eps)
     ratio = malliavin_ratio(b_now, b_anchor, eps)
     return honest_merton(market, t) + ratio / market.beta(t)
-
-
-def load_strategy_table_csv(path) -> tuple[tuple[float, float], ...]:
-    """Read (t, pi) knots with a required header."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StrategyError(f"strategy table {path} is empty") from None
-        cols = [c.strip().lower() for c in header]
-        if cols[:2] != ["t", "pi"]:
-            raise StrategyError(
-                f"strategy table {path} must start with header 't,pi'; got {header!r}"
-            )
-        knots = []
-        for row in reader:
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                knots.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                raise StrategyError(f"bad strategy table row in {path}: {row!r}") from None
-    return tuple(knots)
-
-
-def parse_strategy(text: str, schedule: EpsilonSchedule) -> Strategy:
-    """Build a strategy from a CLI literal: merton, insider, or table:@file.csv."""
-    text = text.strip()
-    if text == "merton":
-        return HonestStrategy()
-    if text == "insider":
-        return InsiderStrategy(schedule)
-    if text.startswith("table:"):
-        arg = text[len("table:"):]
-        if not arg.startswith("@"):
-            raise StrategyError("strategy tables are loaded from a file: table:@profile.csv")
-        return TableStrategy(load_strategy_table_csv(arg[1:]))
-    raise StrategyError(
-        f"unknown strategy literal {text!r}; expected merton, insider or table:@file.csv"
-    )

@@ -242,6 +242,26 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "bogus_key" in proc.stderr
 
+    @pytest.mark.parametrize("overrides, offender", [
+        ({"market": {"gamma": 1.0}}, "gamma"),
+        ({"strategy": {"kind": "merton", "leverage": 2}}, "leverage"),
+        ({"strategy": {"kind": "kelly"}}, "kelly"),
+        ({"strategy": {"kind": "table"}}, "knots"),
+        ({"antithetic": "yes"}, "antithetic"),
+        ({"market": {"horizon": "one"}}, "horizon"),
+    ])
+    def test_bad_config_entry_is_refused(self, tmp_path, overrides, offender):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps({
+            "schedule": {"kind": "const", "value": 1.0},
+            "n_paths": 200,
+            "base_points": 256,
+            **overrides,
+        }))
+        proc = run_cli("simulate", "--config", str(cfg_file))
+        assert proc.returncode == 1
+        assert offender in proc.stderr
+
     def test_missing_schedule_is_an_error(self):
         proc = run_cli("simulate", "--paths", "200", "--base-points", "256")
         assert proc.returncode == 1

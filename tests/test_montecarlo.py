@@ -8,6 +8,7 @@ import pytest
 
 import insider_lab.montecarlo as mc
 from insider_lab.brownian import mix_seed, union_grid
+from insider_lab.config import config_digest, to_dict as config_dict
 from insider_lab.montecarlo import (
     BatchAbort,
     ExperimentConfig,
@@ -15,8 +16,6 @@ from insider_lab.montecarlo import (
     MonteCarloError,
     RegressionResult,
     bridge_drift_regression,
-    config_dict,
-    config_digest,
     discretized_mean,
     duality_check,
     estimate_log_utility,

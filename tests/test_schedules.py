@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insider_lab.config import load_table_csv, parse_schedule
 from insider_lab.schedules import (
     AffineBelowSchedule,
     Classification,
@@ -18,8 +19,6 @@ from insider_lab.schedules import (
     ScheduleError,
     TableSchedule,
     classify_viability,
-    load_table_csv,
-    parse_schedule,
     regime,
     viability_integral,
 )
@@ -141,6 +140,18 @@ class TestRegime:
     def test_table_above(self):
         s = TableSchedule(((0.0, 1.0), (1.0, 1.0)), 1.0)
         assert regime(s) is Regime.ABOVE_HORIZON
+
+    def test_table_crossing_in_its_last_step_is_mixed(self):
+        # anchors 0.5 + 0.500001 t cross T at t ~ 0.999998, inside the
+        # last gap of any 1024-point sample of [0, T)
+        s = TableSchedule(((0, 0.5), (1, 1e-6)), 1)
+        assert regime(s) is Regime.MIXED
+        with pytest.raises(ScheduleError, match="mixed"):
+            classify_viability(s)
+
+    def test_constant_regime_is_exact(self):
+        assert regime(ConstantSchedule(1e-4, 1.0)) is Regime.MIXED
+        assert regime(ConstantSchedule(1.0 - 1e-13, 1.0)) is Regime.ABOVE_HORIZON
 
 
 class TestViabilityIntegral:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insider_lab.brownian import GridError, sample_path, union_grid
+from insider_lab.config import parse_strategy
 from insider_lab.schedules import ConstantSchedule, PowerLawSchedule
 from insider_lab.strategy import (
     HonestStrategy,
@@ -19,7 +20,6 @@ from insider_lab.strategy import (
     donsker_composed,
     honest_merton,
     insider_optimal,
-    parse_strategy,
 )
 
 RIG = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0)
