@@ -1,9 +1,9 @@
 """Closed-form benchmarks and theory-versus-simulation comparison reports.
 
 The benchmark for the look-ahead portfolio is half the sum of two
-integrals over [0, T - delta]: the reciprocal look-ahead integral
-(quadrature or closed form) and the squared drift-to-volatility ratio
-(exact for step coefficients).  Sweeping delta toward zero makes the
+integrals over [0, T - delta]: the reciprocal look-ahead integral and
+the squared drift-to-volatility ratio, both exact (the first in closed
+form for every schedule kind, the second for step coefficients).  Sweeping delta toward zero makes the
 dichotomy visible: benchmarks converge exactly when the reciprocal
 integral does, and grow without bound otherwise.
 """

@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time horizon (default 1)")
     p.add_argument("--delta", type=float,
                    help="also report the look-ahead integral truncated at T - delta")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="quadrature tolerance (default 1e-9)")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_viability)
 
@@ -296,7 +294,7 @@ def _write_csv(path, header, rows) -> None:
 
 def _cmd_viability(args):
     schedule = parse_schedule(args.schedule, args.horizon)
-    report = classify_viability(schedule, tol=args.tol)
+    report = classify_viability(schedule)
     payload = {
         "command": "viability",
         "schedule": to_entry(schedule),
@@ -311,8 +309,7 @@ def _cmd_viability(args):
             raise CliError(f"--delta must be positive for a truncated "
                            f"integral, got {args.delta!r}")
         payload["delta"] = args.delta
-        payload["truncated_integral"] = viability_integral(schedule, args.delta,
-                                                           tol=args.tol)
+        payload["truncated_integral"] = viability_integral(schedule, args.delta)
     if args.output:
         if args.format == "json":
             _write_json(args.output, payload)

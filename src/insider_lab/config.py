@@ -129,16 +129,23 @@ def _reject_unknown(mapping: dict, allowed, what: str, error: type = MonteCarloE
         raise error(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+def _real(value) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _number(value, what: str, error: type = MonteCarloError) -> float:
     try:
-        return float(value)
+        return _real(value)
     except (TypeError, ValueError):
         raise error(f"{what} must be a number, got {value!r}") from None
 
 
 def _knots(value, what: str, error: type) -> tuple[tuple[float, float], ...]:
     try:
-        return tuple((float(t), float(v)) for t, v in value)
+        return tuple((_real(t), _real(v)) for t, v in value)
     except (TypeError, ValueError):
         raise error(f"{what} knots must be [time, value] pairs, got {value!r}") from None
 

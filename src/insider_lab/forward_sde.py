@@ -93,7 +93,7 @@ def _eval_sub_indices(grid: TimeGrid, horizon: float, delta: float) -> np.ndarra
 
 def check_truncation(market: MarketCoefficients, strategy: Strategy,
                      grid: TimeGrid, delta: float) -> None:
-    """Enforce the truncation rule for look-ahead strategies.
+    """Enforce the truncation rules for look-ahead strategies.
 
     The left-endpoint bias of the look-ahead integrand scales with
     (grid step)/eps_t, worst at the truncated horizon.  Require the
@@ -101,11 +101,17 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
     100 times smaller than max(delta, eps(T - delta)).  With delta = 0
     the horizon itself is reached, which is only meaningful for viable
     schedules; divergent ones must be truncated.
+
+    Every base step must also be no longer than the look-ahead at its
+    left end, eps(t_j) >= dt_j, so that each anchor lies beyond the end
+    of its step: then discretized_mean is the estimator's exact mean.
     """
     if not isinstance(strategy, InsiderStrategy):
         return
     schedule = strategy.schedule
     T = market.horizon
+    base = grid.points[_eval_sub_indices(grid, T, delta)]
+    gaps = np.diff(base)
     if delta <= 0:
         report = classify_viability(schedule)
         if report.classification is not Classification.VIABLE:
@@ -113,25 +119,32 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
                 "delta = 0 reaches the horizon, but the schedule's look-ahead "
                 "integral diverges there; pass a positive truncation delta"
             )
-        return
-    sub = _eval_sub_indices(grid, T, delta)
-    base = grid.points[sub]
-    tail_start = T - 10.0 * delta
-    gaps = np.diff(base)
-    tail_gaps = gaps[base[:-1] >= tail_start - 1e-12]
-    max_tail_gap = float(tail_gaps.max() if tail_gaps.size else gaps.max())
-    scale = max(delta, float(schedule.eval(T - delta)))
-    if 100.0 * max_tail_gap > scale:
+    else:
+        tail_start = T - 10.0 * delta
+        tail_gaps = gaps[base[:-1] >= tail_start - 1e-12]
+        max_tail_gap = float(tail_gaps.max() if tail_gaps.size else gaps.max())
+        scale = max(delta, float(schedule.eval(T - delta)))
+        if 100.0 * max_tail_gap > scale:
+            raise ForwardError(
+                f"tail grid step {max_tail_gap:.3g} too coarse for truncation "
+                f"delta={delta:.3g} (look-ahead at the cut is {scale:.3g}); "
+                "refine the base grid or enlarge delta"
+            )
+    eps = schedule.eval(base[:-1])
+    short = np.flatnonzero(eps < gaps)
+    if short.size:
+        j = short[0]
         raise ForwardError(
-            f"tail grid step {max_tail_gap:.3g} too coarse for truncation "
-            f"delta={delta:.3g} (look-ahead at the cut is {scale:.3g}); "
-            "refine the base grid or enlarge delta"
+            f"look-ahead {eps[j]:.3g} at t={base[j]:.6g} is shorter than its grid "
+            f"step {gaps[j]:.3g}; refine the base grid or enlarge delta"
         )
 
 
 def _wealth_terms(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                  values: np.ndarray, delta: float, pi_cap: float | None):
-    """Left times, steps, alpha, beta, increments and pi on the base sub-grid."""
+                  values: np.ndarray, delta: float, pi_cap: float | None,
+                  antithetic: bool = False):
+    """Left times, steps, alpha, beta, increments and a list of pi on the
+    base sub-grid: pi along ``values`` and, with antithetic, along ``-values``."""
     sub = _eval_sub_indices(grid, market.horizon, delta)
     if sub.size < 2:
         raise ForwardError("no integration steps below the truncated horizon")
@@ -141,59 +154,69 @@ def _wealth_terms(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid
     alpha = market.alpha(t_left)
     beta = market.beta(t_left)
     honest = alpha / beta**2
-    if isinstance(strategy, HonestStrategy):
-        pi = np.broadcast_to(honest, (values.shape[0], left.size)).copy()
-    elif isinstance(strategy, InsiderStrategy):
+    # take() gathers into C layout, which keeps the later row sums
+    # independent of how many rows ride along
+    pi = np.take(values, left, axis=1)
+    increments = np.take(values, sub[1:], axis=1)
+    increments -= pi
+    if isinstance(strategy, InsiderStrategy):
         if grid.anchor_indices is None:
-            raise ForwardError(
-                "insider strategy needs a grid carrying anchor indices; "
-                "build it with union_grid"
-            )
-        eps = strategy.schedule.eval(t_left)
+            raise ForwardError("insider strategy needs a grid carrying anchor indices; "
+                               "build it with union_grid")
         anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
-        # fancy indexing yields F-ordered copies; canonical C layout keeps
-        # the later row sums independent of how many rows ride along
-        correction = (values[:, left] - values[:, anchors]) / (beta * eps)
-        pi = np.ascontiguousarray(honest - correction)
-    elif isinstance(strategy, TableStrategy):
-        pi = np.broadcast_to(strategy.fraction(t_left), (values.shape[0], left.size)).copy()
+        correction = np.take(values, anchors, axis=1)
+        np.subtract(pi, correction, out=correction)
+        correction /= beta * strategy.schedule.eval(t_left)
+        pis = [np.subtract(honest, correction, out=pi)]
+        if antithetic:
+            # negating the path negates the correction exactly
+            pis.append(np.add(honest, correction, out=correction))
+    elif isinstance(strategy, (HonestStrategy, TableStrategy)):
+        pi[...] = honest if isinstance(strategy, HonestStrategy) else strategy.fraction(t_left)
+        pis = [pi] * (1 + antithetic)
     else:
         raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
     if pi_cap is not None:
-        np.clip(pi, -pi_cap, pi_cap, out=pi)
-    increments = np.ascontiguousarray(values[:, sub[1:]] - values[:, left])
-    return t_left, dt, alpha, beta, increments, pi
+        for pi in pis:
+            np.clip(pi, -pi_cap, pi_cap, out=pi)
+    return t_left, dt, alpha, beta, increments, pis
 
 
 def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                      values: np.ndarray, delta: float, pi_cap: float | None = None):
+                      values: np.ndarray, delta: float, pi_cap: float | None = None,
+                      antithetic: bool = False):
     """Vectorized log wealth for a block of paths.
 
     ``values`` has one row per path, aligned with ``grid.points``.
     Returns (log_wealth, stochastic_part, drift_part) arrays, one entry
-    per row.  Raises ForwardError naming the offending row if any
-    portfolio fraction fails to be finite.  Callers run check_truncation.
+    per row; with antithetic each is, bit for bit, the average of the
+    calls on ``values`` and ``-values``.  Raises ForwardError naming the
+    offending row if any portfolio fraction fails to be finite.  Callers
+    run check_truncation.
     """
     T = market.horizon
     if not (0 <= delta < T):
         raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    _, dt, alpha, beta, increments, pi = _wealth_terms(market, strategy, grid, values,
-                                                       delta, pi_cap)
-    bad = ~np.isfinite(pi)
-    if np.any(bad):
-        row = int(np.argwhere(bad)[0][0])
-        err = ForwardError(f"non-finite portfolio fraction on path row {row}")
-        err.row = row
-        raise err
-
-    stochastic = np.sum(pi * beta * increments, axis=1)
-    drift = np.sum((pi * alpha - 0.5 * pi**2 * beta**2) * dt, axis=1)
-    if market.x0 != 1.0:
-        # deterministic initial term folded into the drift part so the
-        # decomposition identity stays exact
-        drift = drift + np.log(market.x0)
-    return stochastic + drift, stochastic, drift
+    _, dt, alpha, beta, increments, pis = _wealth_terms(market, strategy, grid, values,
+                                                        delta, pi_cap, antithetic)
+    sides = []
+    for pi, sign in zip(pis, (1.0, -1.0)):
+        bad = ~np.isfinite(pi)
+        if np.any(bad):
+            row = int(np.argwhere(bad)[0][0])
+            err = ForwardError(f"non-finite portfolio fraction on path row {row}")
+            err.row = row
+            raise err
+        # rounding is odd-symmetric, so negating the sum negates every term
+        stochastic = sign * np.sum(pi * beta * increments, axis=1)
+        drift = np.sum((pi * alpha - 0.5 * pi**2 * beta**2) * dt, axis=1)
+        if market.x0 != 1.0:
+            # deterministic initial term folded into the drift part so the
+            # decomposition identity stays exact
+            drift = drift + np.log(market.x0)
+        sides.append((stochastic + drift, stochastic, drift))
+    return sides[0] if len(sides) == 1 else tuple(0.5 * (p + m) for p, m in zip(*sides))
 
 
 def log_wealth(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
@@ -216,7 +239,7 @@ def dump_wealth_csv(market: MarketCoefficients, strategy: Strategy, path: Browni
     """Write (t, pi, log_wealth) rows along one path; debug aid."""
     import csv
 
-    t_left, dt, alpha, beta, increments, pi = _wealth_terms(
+    t_left, dt, alpha, beta, increments, (pi,) = _wealth_terms(
         market, strategy, path.grid, path.values[None, :], delta, None)
     running = np.cumsum(pi * beta * increments + (pi * alpha - 0.5 * pi**2 * beta**2) * dt)
     with open(target, "w", newline="") as fh:

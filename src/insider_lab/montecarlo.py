@@ -85,12 +85,13 @@ def _chunk_units(n_grid_points: int) -> int:
 
 def _normal_block(seeds, sqrt_gaps: np.ndarray) -> np.ndarray:
     """Brownian values for one chunk, row k driven by seeds[k]."""
-    z = np.empty((len(seeds), sqrt_gaps.size))
-    for i, s in enumerate(seeds):
-        z[i] = np.random.default_rng(s).standard_normal(sqrt_gaps.size)
     values = np.empty((len(seeds), sqrt_gaps.size + 1))
     values[:, 0] = 0.0
-    np.cumsum(z * sqrt_gaps, axis=1, out=values[:, 1:])
+    steps = values[:, 1:]
+    for i, s in enumerate(seeds):
+        np.random.default_rng(s).standard_normal(out=steps[i])
+    np.multiply(steps, sqrt_gaps, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
     return values
 
 
@@ -129,21 +130,10 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int) -> 
     return np.concatenate(_map_in_order(run_chunk, bounds, threads), axis=-1)
 
 
-def _antithetic_log_wealth(cfg: ExperimentConfig, grids, values: np.ndarray) -> list:
-    """Log wealth of every row on each grid, averaged with its negated path.
-
-    Without antithetic pairing the plain log wealth is returned.  The
-    block is negated in place, so ``values`` is spent afterwards.
-    """
-    def on_grids():
-        return [log_wealth_matrix(cfg.market, cfg.strategy, g, values, cfg.delta,
-                                  pi_cap=cfg.pi_cap)[0] for g in grids]
-
-    plus = on_grids()
-    if not cfg.antithetic:
-        return plus
-    np.negative(values, out=values)
-    return [0.5 * (p + m) for p, m in zip(plus, on_grids())]
+def _antithetic_log_wealth(cfg: ExperimentConfig, grid: TimeGrid, values: np.ndarray):
+    """Log wealth of every row, averaged with its negated path when pairing is on."""
+    return log_wealth_matrix(cfg.market, cfg.strategy, grid, values, cfg.delta,
+                             pi_cap=cfg.pi_cap, antithetic=cfg.antithetic)[0]
 
 
 def _estimate_from_sample(sample: np.ndarray) -> McEstimate:
@@ -165,7 +155,7 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     sample = _run_chunks(units, cfg.master_seed, grid.points,
-                         lambda v: _antithetic_log_wealth(cfg, [grid], v)[0], threads)
+                         lambda v: _antithetic_log_wealth(cfg, grid, v), threads)
     return _estimate_from_sample(sample)
 
 
@@ -248,7 +238,7 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
     center_avg = float(np.mean(centers))
 
     def run_chunk(values):
-        per_level = _antithetic_log_wealth(cfg, grids, values)
+        per_level = [_antithetic_log_wealth(cfg, g, values) for g in grids]
         control = np.mean(per_level, axis=0) - center_avg
         return np.stack([x - control for x in per_level])
 

@@ -6,6 +6,11 @@ time t + eps_t.  Whether such a market admits finite maximal expected
 log utility is governed by the integral of 1/eps_t over [0, T): finite
 integral means viable, divergent means the insider can generate
 unbounded expected log wealth as the horizon is approached.
+
+Every kind integrates 1/eps_t in closed form, and every anchor map
+t + eps_t is piecewise linear or has a known shape, so viability, the
+truncated integrals and the anchor checks are exact: nothing is
+sampled and nothing is integrated numerically.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ from enum import Enum
 
 import numpy as np
 
-#: Grid size of the sampled anchor-convergence check.
-CHECK_POINTS = 1024
-
 #: Truncations at which every viability report tabulates the integral.
 TRACE_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -28,11 +30,7 @@ class ScheduleError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge.
-
-    ``partial`` carries the best value accumulated so far, so callers can
-    report how far the integration got before giving up.
-    """
+    """The look-ahead integral is infinite; ``partial`` is math.inf."""
 
     def __init__(self, message: str, partial: float):
         super().__init__(message)
@@ -86,6 +84,10 @@ class EpsilonSchedule:
     def _eval_array(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _reciprocal_integral(self, end: float) -> float:
+        """Exact integral of 1/eps_t over [0, end]; math.inf if it diverges."""
+        raise NotImplementedError
+
     def eval(self, t):
         """Look-ahead at time t; t may be a scalar or an array.
 
@@ -101,8 +103,8 @@ class EpsilonSchedule:
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def _eval_extended(self, t: np.ndarray) -> np.ndarray:
-        # Internal: quadrature needs the integrand at the closed right
-        # endpoint; the kind formulas extend continuously to t = horizon.
+        # Internal: grids and anchor checks need the anchor at the closed
+        # right endpoint; the kind formulas extend continuously to t = horizon.
         return self._eval_array(np.asarray(t, dtype=float))
 
     @property
@@ -116,31 +118,40 @@ def _validate_horizon(T: float) -> None:
         raise ScheduleError(f"horizon must be a finite positive number, got {T!r}")
 
 
-def _check_anchor_convergence(schedule: EpsilonSchedule) -> None:
-    """Reject schedules whose anchor map t + eps_t oscillates near T.
+def _check_anchor_convergence(schedule: TableSchedule) -> None:
+    """Reject tables whose anchor map t + eps_t oscillates near T.
 
     When the anchors approach the horizon they must do so monotonically;
-    checked on the last eighth of a CHECK_POINTS grid via the distance
+    checked on the last eighth [7T/8, T] of the horizon via the distance
     |t + eps_t - T|.  A monotonically growing distance is also fine: it
     means the anchors keep a widening lead over the horizon (constant
     look-ahead style) and never converge to T in the first place.  Only
     a distance that wobbles near the terminal time is rejected.
+
+    The gap t + eps_t - T is linear between knots, so the distance is
+    linear between the window ends, the knots and the gap's zero
+    crossings, and its values there decide the test exactly.  A zero
+    crossing is the anchors passing through T, which regime() reports
+    as Mixed, not a backing away: each side of it is tested on its own.
     """
     T = schedule.horizon
-    t = np.linspace(0.0, T, CHECK_POINTS, endpoint=False)
-    dist = np.abs(t + schedule._eval_array(t) - T)
-    steps = np.diff(dist[-(CHECK_POINTS // 8):])
+    start = 0.875 * T
+    t = np.union1d([start, T], [k[0] for k in schedule.knots if start < k[0] < T])
+    gap = t + schedule._eval_extended(t) - T
     tol = 1e-12 * max(1.0, T)
-    falls = np.flatnonzero(steps < -tol)
-    rises = np.flatnonzero(steps > tol)
-    # A rise occurring after a fall means the anchors started converging
-    # and then backed away again: that is the oscillation we reject.  A
-    # single rise-then-fall (distance peaks inside the window) is fine.
-    if falls.size and rises.size and rises[-1] > falls[0]:
-        raise ScheduleError(
-            "anchor map t + eps_t must approach the horizon monotonically; "
-            "oscillation detected near the terminal time"
-        )
+    for side in np.split(np.abs(gap), np.flatnonzero(gap[:-1] * gap[1:] < 0) + 1):
+        steps = np.diff(side)
+        falls = np.flatnonzero(steps < -tol)
+        rises = np.flatnonzero(steps > tol)
+        # A rise occurring after a fall means the anchors started
+        # converging and then backed away again: that is the oscillation
+        # we reject.  A single rise-then-fall (distance peaks inside the
+        # window) is fine.
+        if falls.size and rises.size and rises[-1] > falls[0]:
+            raise ScheduleError(
+                "anchor map t + eps_t must approach the horizon monotonically; "
+                "oscillation detected near the terminal time"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,10 +174,26 @@ class PowerLawSchedule(EpsilonSchedule):
                 "power-law schedules with exponent != 1 require horizon <= 1 "
                 f"(got horizon={self.horizon}); rescale time before simulating"
             )
-        _check_anchor_convergence(self)
+        # No anchor-convergence check: the distance |u**q - u| of the
+        # anchors to T, with u = T - t, has at most one peak (at
+        # u = q**(1/(1-q))) and falls to 0 after it, so it never rises
+        # again once it has started to fall.
 
     def _eval_array(self, t):
         return np.power(self.horizon - t, self.exponent)
+
+    def _reciprocal_integral(self, end):
+        # (T**a - u**a)/a with a = 1 - q over u in [T - end, T], written
+        # with expm1 so that q near 1 does not cancel
+        T, u, a = self.horizon, self.horizon - end, 1.0 - self.exponent
+        if u == 0:
+            return T**a / a if a > 0 else math.inf
+        if a == 0:
+            return math.log(T / u)
+        try:
+            return T**a * -math.expm1(a * math.log(u / T)) / a
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -184,6 +211,9 @@ class ConstantSchedule(EpsilonSchedule):
     def _eval_array(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
 
+    def _reciprocal_integral(self, end):
+        return end / self.value
+
 
 @dataclass(frozen=True)
 class AffineBelowSchedule(EpsilonSchedule):
@@ -199,6 +229,10 @@ class AffineBelowSchedule(EpsilonSchedule):
 
     def _eval_array(self, t):
         return self.slope * (self.horizon - t)
+
+    def _reciprocal_integral(self, end):
+        u = self.horizon - end
+        return math.log(self.horizon / u) / self.slope if u > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -236,6 +270,20 @@ class TableSchedule(EpsilonSchedule):
         eps = np.array([k[1] for k in self.knots], dtype=float)
         return np.interp(t, times, eps)
 
+    def _reciprocal_integral(self, end):
+        # eps is linear on each segment, whose integral is
+        # dt log(e1/e0)/(e1 - e0) = dt/e0 * log1p(r)/r with r = e1/e0 - 1
+        total = 0.0
+        for (t0, e0), (t1, e1) in zip(self.knots, self.knots[1:]):
+            if t0 >= end:
+                break
+            if t1 > end:
+                e1 = e0 + (e1 - e0) * (end - t0) / (t1 - t0)
+                t1 = end
+            r = (e1 - e0) / e0
+            total += (t1 - t0) / e0 * (math.log1p(r) / r if r else 1.0)
+        return total
+
 
 def regime(schedule: EpsilonSchedule) -> Regime:
     """Classify where the anchors t + eps_t sit relative to the horizon.
@@ -264,133 +312,67 @@ def regime(schedule: EpsilonSchedule) -> Regime:
     return Regime.MIXED
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature with interval-halving error control.
-
-    The per-interval acceptance test carries a 1e-10 relative floor: for
-    steep integrands the absolute tolerance alone would demand precision
-    below float64 rounding (evaluating eps at T - u suffers cancellation
-    noise of order |d eps/dt| * ulp(T), which Simpson differences inherit).
-    """
-
-    def simpson(lo, flo, hi, fhi, fmid):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, flo, mid, fmid, hi, fhi, whole, eps, depth):
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        flmid = f(lmid)
-        frmid = f(rmid)
-        left = simpson(lo, flo, mid, fmid, flmid)
-        right = simpson(mid, fmid, hi, fhi, frmid)
-        if not (math.isfinite(left) and math.isfinite(right)):
-            raise QuadratureError(
-                f"integrand not finite near [{lo:.6g}, {hi:.6g}]", left + right
-            )
-        both = left + right
-        if abs(both - whole) <= 15.0 * (eps + 1e-10 * abs(both)):
-            return both + (both - whole) / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature failed to converge after depth {max_depth} "
-                f"near [{lo:.6g}, {hi:.6g}]; integral may diverge",
-                both,
-            )
-        return (
-            recurse(lo, flo, lmid, flmid, mid, fmid, left, 0.5 * eps, depth + 1)
-            + recurse(mid, fmid, rmid, frmid, hi, fhi, right, 0.5 * eps, depth + 1)
-        )
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not all(map(math.isfinite, (fa, fm, fb))):
-        raise QuadratureError("integrand not finite at initial quadrature nodes", math.nan)
-    whole = simpson(a, fa, b, fb, fm)
-    return recurse(a, fa, m, fm, b, fb, whole, tol, 0)
-
-
-def viability_integral(schedule: EpsilonSchedule, delta: float, tol: float = 1e-9) -> float:
-    """Integral of 1/eps_t over [0, T - delta] by adaptive quadrature.
+def viability_integral(schedule: EpsilonSchedule, delta: float) -> float:
+    """Exact integral of 1/eps_t over [0, T - delta].
 
     delta = 0 is allowed for schedules whose look-ahead stays bounded
-    away from zero at the horizon; otherwise the quadrature will fail to
-    converge and raises QuadratureError with the partial value.
+    away from zero at the horizon; for the others the integral diverges
+    and QuadratureError is raised with partial = inf.
     """
     T = schedule.horizon
     if not (0 <= delta < T):
         raise ScheduleError(f"truncation delta must lie in [0, {T}), got {delta!r}")
-    if tol <= 0:
-        raise ScheduleError(f"quadrature tolerance must be positive, got {tol!r}")
-
-    def integrand(t):
-        eps = float(schedule._eval_extended(np.asarray(t)))
-        if eps <= 0:
-            return math.inf
-        return 1.0 / eps
-
-    return _adaptive_simpson(integrand, 0.0, T - delta, tol)
+    value = schedule._reciprocal_integral(T - delta)
+    if math.isinf(value):
+        raise QuadratureError(
+            f"the integral of 1/eps over [0, {T - delta:.6g}] is not finite", value)
+    return value
 
 
-# Ratio test used for table schedules: if tightening the truncation from
-# 1e-4 to 1e-6 still grows the integral by more than 10%, treat it as
-# divergent.
-_HEURISTIC_DELTAS = (1e-2, 1e-4, 1e-6)
+# Growth test used for table schedules, whose integrals are always
+# finite: if tightening the truncation from 1e-4 to 1e-6 still grows the
+# integral by more than 10%, treat it as divergent.
+_HEURISTIC_DELTAS = (1e-4, 1e-6)
 _HEURISTIC_GROWTH = 0.1
 
 
-def classify_viability(schedule: EpsilonSchedule, tol: float = 1e-9) -> ViabilityReport:
+def classify_viability(schedule: EpsilonSchedule) -> ViabilityReport:
     """Decide viability of the market driven by this schedule.
 
-    Analytic kinds are classified in closed form; table schedules fall
-    back to quadrature plus a truncation-growth heuristic.  A table
-    whose anchors straddle the horizon is rejected: the two regimes call
-    for different treatments and mixing them has no supported meaning.
+    Every value comes from the kind's exact integral.  Analytic kinds
+    are classified by whether it is finite; a table is classified by
+    the truncation-growth convention above and, when viable, reports
+    its full integral.  A table whose anchors straddle the horizon is
+    rejected: the two regimes call for different treatments and mixing
+    them has no supported meaning.
     """
     T = schedule.horizon
-    if isinstance(schedule, PowerLawSchedule):
-        q = schedule.exponent
-        if q >= 1.0:
-            cls, value = Classification.NOT_VIABLE, math.inf
-        else:
-            cls, value = Classification.VIABLE, T ** (1.0 - q) / (1.0 - q)
-        method = Method.ANALYTIC
-    elif isinstance(schedule, ConstantSchedule):
-        cls, value, method = Classification.VIABLE, T / schedule.value, Method.ANALYTIC
-    elif isinstance(schedule, AffineBelowSchedule):
-        cls, value, method = Classification.NOT_VIABLE_BELOW_HORIZON, math.inf, Method.ANALYTIC
-    else:
+    if isinstance(schedule, TableSchedule):
         reg = regime(schedule)
         if reg is Regime.MIXED:
             raise ScheduleError(
                 "schedule anchors straddle the horizon (mixed regime); "
                 "viability classification is defined per regime only"
             )
+        method = Method.QUADRATURE
         if reg is Regime.BELOW_HORIZON:
             # eps_t <= T - t everywhere, so the integral dominates the
             # divergent integral of 1/(T - t).
-            cls, value, method = Classification.NOT_VIABLE_BELOW_HORIZON, math.inf, Method.QUADRATURE
+            cls, value = Classification.NOT_VIABLE_BELOW_HORIZON, math.inf
         else:
-            try:
-                partials = [viability_integral(schedule, d, tol) for d in _HEURISTIC_DELTAS]
-            except QuadratureError:
-                partials = None
-            if partials is None:
+            i_mid, i_fine = (viability_integral(schedule, d) for d in _HEURISTIC_DELTAS)
+            if i_fine - i_mid > _HEURISTIC_GROWTH * i_mid:
                 cls, value = Classification.NOT_VIABLE, math.inf
             else:
-                i_mid, i_fine = partials[1], partials[2]
-                if i_fine - i_mid > _HEURISTIC_GROWTH * i_mid:
-                    cls, value = Classification.NOT_VIABLE, math.inf
-                else:
-                    cls, value = Classification.VIABLE, i_fine
-            method = Method.QUADRATURE
-
-    trace = []
-    for d in TRACE_DELTAS:
-        if d >= T:
-            continue
-        try:
-            trace.append((d, viability_integral(schedule, d, tol)))
-        except QuadratureError as exc:
-            trace.append((d, exc.partial))
-    return ViabilityReport(cls, value, method, tuple(trace))
+                cls, value = Classification.VIABLE, schedule._reciprocal_integral(T)
+    else:
+        method = Method.ANALYTIC
+        value = schedule._reciprocal_integral(T)
+        if isinstance(schedule, AffineBelowSchedule):
+            cls = Classification.NOT_VIABLE_BELOW_HORIZON
+        elif math.isinf(value):
+            cls = Classification.NOT_VIABLE
+        else:
+            cls = Classification.VIABLE
+    trace = tuple((d, schedule._reciprocal_integral(T - d)) for d in TRACE_DELTAS if d < T)
+    return ViabilityReport(cls, value, method, trace)

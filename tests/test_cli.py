@@ -249,6 +249,10 @@ class TestExitCodes:
         ({"strategy": {"kind": "table"}}, "knots"),
         ({"antithetic": "yes"}, "antithetic"),
         ({"market": {"horizon": "one"}}, "horizon"),
+        ({"market": {"horizon": "1"}}, "horizon"),
+        ({"delta": "0.1"}, "delta"),
+        ({"schedule": {"kind": "const", "value": "1"}}, "value"),
+        ({"pi_cap": True}, "pi_cap"),
     ])
     def test_bad_config_entry_is_refused(self, tmp_path, overrides, offender):
         cfg_file = tmp_path / "bad.json"
@@ -271,6 +275,12 @@ class TestExitCodes:
         proc = run_cli("simulate", "--schedule", "nope:1")
         assert proc.returncode == 1
         assert "unknown schedule kind" in proc.stderr
+
+    def test_step_longer_than_its_look_ahead_is_refused(self):
+        proc = run_cli("compare", "--schedule", "powerlaw:q=3", "--delta", "1e-2",
+                       "--base-points", "4096", "--paths", "200")
+        assert proc.returncode == 1
+        assert "t=0.964719" in proc.stderr
 
     def test_divergent_horizon_comparison_is_an_error(self):
         proc = run_cli("compare", "--schedule", "powerlaw:q=1", "--delta", "0",

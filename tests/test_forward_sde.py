@@ -212,6 +212,21 @@ class TestMatrixConsistency:
             single = log_wealth(RIG, InsiderStrategy(schedule=sched), p, delta=0.0)
             assert total[k] == single.log_wealth
 
+    @pytest.mark.parametrize("strategy", ["honest", "insider", "table"])
+    @pytest.mark.parametrize("pi_cap", [None, 3.0])
+    def test_antithetic_pairs_match_two_passes_bitwise(self, strategy, pi_cap):
+        sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
+        strat = {"honest": HonestStrategy(), "insider": InsiderStrategy(schedule=sched),
+                 "table": TableStrategy(knots=((0.0, 1.0), (1.0, 4.0)))}[strategy]
+        market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
+        grid = union_grid(base_points=256, schedule=sched, delta=0.1)
+        block = np.stack([sample_path(grid, seed=mix_seed(9, k)).values for k in range(5)])
+        plus = log_wealth_matrix(market, strat, grid, block, 0.1, pi_cap)
+        minus = log_wealth_matrix(market, strat, grid, -block, 0.1, pi_cap)
+        paired = log_wealth_matrix(market, strat, grid, block, 0.1, pi_cap, antithetic=True)
+        for p, m, avg in zip(plus, minus, paired):
+            assert np.array_equal(avg, 0.5 * (p + m))
+
     def test_non_finite_fraction_names_row(self):
         sched = ConstantSchedule(value=0.4, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=0.0)
@@ -271,6 +286,20 @@ class TestTruncationRule:
         path = sample_path(grid, seed=1)
         with pytest.raises(ForwardError, match="too coarse"):
             log_wealth(RIG, InsiderStrategy(schedule=sched), path, delta=1e-4)
+
+    def test_step_longer_than_its_look_ahead_rejected(self):
+        # eps = (1 - t)**3 falls below the 4096-point grid step before the
+        # refined tail; the first offending step starts at t = 0.964719
+        sched = PowerLawSchedule(exponent=3.0, horizon=1.0)
+        grid = union_grid(base_points=4096, schedule=sched, delta=1e-2)
+        with pytest.raises(ForwardError, match="t=0.964719"):
+            check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 1e-2)
+
+    def test_square_law_steps_stay_inside_the_look_ahead(self):
+        # the smallest ratio eps(t_j)/dt_j on this grid is 2.29
+        sched = PowerLawSchedule(exponent=2.0, horizon=1.0)
+        grid = union_grid(base_points=4096, schedule=sched, delta=1e-2)
+        check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 1e-2)
 
     def test_delta_outside_range_rejected(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import insider_lab.montecarlo as mc
 from insider_lab.brownian import mix_seed, union_grid
 from insider_lab.config import config_digest, to_dict as config_dict
+from insider_lab.forward_sde import ForwardError, check_truncation
 from insider_lab.montecarlo import (
     BatchAbort,
     ExperimentConfig,
@@ -454,3 +457,42 @@ class TestMartingaleGap:
         res = martingale_gap_check(t=0.0, eps=0.1, h=0.2, n_paths=5000, seed=8)
         assert res.n_paths == 5000
         assert isinstance(res, RegressionResult)
+
+
+@st.composite
+def small_insider_configs(draw):
+    kind = draw(st.sampled_from(["powerlaw", "const", "affine_below", "table"]))
+    if kind == "powerlaw":
+        schedule = PowerLawSchedule(draw(st.floats(0.1, 3.0)), 1.0)
+    elif kind == "const":
+        # 2**-8 and shorter look-aheads lie below the step of some grids
+        schedule = ConstantSchedule(2.0 ** -draw(st.integers(-1, 10)), 1.0)
+    elif kind == "affine_below":
+        schedule = AffineBelowSchedule(draw(st.floats(0.1, 1.0)), 1.0)
+    else:
+        # anchors above T, linear over the last eighth
+        schedule = TableSchedule(tuple((t, 1.0 - t + draw(st.floats(0.05, 1.0)))
+                                       for t in (0.0, 0.5, 1.0)), 1.0)
+    return insider_config(schedule=schedule, n_paths=1000,
+                          base_points=draw(st.sampled_from([256, 512])),
+                          delta=draw(st.sampled_from([0.0, 0.1, 0.2])),
+                          master_seed=draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cfg=small_insider_configs())
+# a look-ahead shorter than every grid step, whose estimator's mean lies far
+# below its discretized_mean: check_truncation must refuse it
+@example(cfg=insider_config(schedule=ConstantSchedule(2.0**-9, 1.0), n_paths=1000,
+                            base_points=256, delta=0.0))
+def test_accepted_insider_configs_average_to_their_grid_mean(cfg):
+    # every config that passes check_truncation has discretized_mean as
+    # its exact expectation
+    grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
+    try:
+        check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
+    except ForwardError:
+        assume(False)
+    est = estimate_log_utility(cfg, threads=1)
+    exact = discretized_mean(cfg.market, cfg.strategy, grid, cfg.delta)
+    assert abs(est.mean - exact) <= 4 * est.stderr

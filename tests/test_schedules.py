@@ -106,6 +106,20 @@ class TestConstruction:
         with pytest.raises(ScheduleError, match="monotonically"):
             TableSchedule(knots, 1.0)
 
+    def test_wobble_between_samples_rejected(self):
+        # anchor distances 0.0749 -> 0.0759 -> 0.0748 within 2e-4 of time
+        knots = ((0.0, 1.1), (0.9, 0.2), (0.9502, 0.1247), (0.9503, 0.1256),
+                 (0.9504, 0.1244), (1.0, 0.05))
+        with pytest.raises(ScheduleError, match="monotonically"):
+            TableSchedule(knots, 1.0)
+
+    def test_crossing_inside_the_window_is_mixed_not_oscillating(self):
+        # anchors 0.2 + 0.9 t pass T at t = 0.889 and keep rising: the
+        # regime is mixed, but the anchors never back away from T
+        s = TableSchedule(((0.0, 0.2), (1.0, 0.1)), 1.0)
+        with pytest.raises(ScheduleError, match="mixed"):
+            classify_viability(s)
+
     def test_constant_style_table_allowed(self):
         # anchors keep a growing lead over the horizon; no convergence to check
         TableSchedule(((0.0, 0.4), (1.0, 0.4)), 1.0)
@@ -259,6 +273,21 @@ class TestClassification:
         assert r.classification is Classification.NOT_VIABLE
         assert r.divergent
 
+    def test_table_integral_is_exact(self):
+        # segments 1.5 -> 1 and 1 -> 0.5 contribute ln 1.5 and ln 2
+        s = TableSchedule(((0.0, 1.5), (0.5, 1.0), (1.0, 0.5)), 1.0)
+        r = classify_viability(s)
+        assert r.classification is Classification.VIABLE
+        assert r.integral_value == pytest.approx(math.log(3.0), rel=1e-12)
+        assert viability_integral(s, 0.5) == pytest.approx(math.log(1.5), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_power_law_near_unit_exponent_does_not_cancel(self, q):
+        # (1 - delta**(1-q))/(1-q) -> ln(1/delta); the relative gap is
+        # about (1-q) ln(1/delta)/2 ~ 3.5e-12
+        value = viability_integral(PowerLawSchedule(q, 1.0), 1e-3)
+        assert value == pytest.approx(math.log(1e3), rel=1e-10)
+
     def test_mixed_table_rejected(self):
         s = TableSchedule(((0.0, 0.5), (1.0, 0.5)), 1.0)
         with pytest.raises(ScheduleError, match="[Mm]ixed"):
@@ -321,3 +350,17 @@ def test_affine_below_anchor_stays_below_horizon(c, T):
     t = np.linspace(0.0, T, 257, endpoint=False)
     assert np.all(t + s.eval(t) <= T + 1e-12)
     assert regime(s) is Regime.BELOW_HORIZON
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.floats(min_value=0.05, max_value=3.0, allow_nan=False),
+    T=st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
+)
+def test_power_law_anchor_distance_never_rises_after_falling(q, T):
+    # why PowerLawSchedule needs no anchor-convergence check
+    u = np.linspace(T / 8, 0.0, 4097)
+    steps = np.diff(np.abs(u**q - u))
+    falls = np.flatnonzero(steps < -1e-12)
+    rises = np.flatnonzero(steps > 1e-12)
+    assert not (falls.size and rises.size and rises[-1] > falls[0])
