@@ -175,16 +175,10 @@ def union_grid(base_points: int, schedule: EpsilonSchedule, delta: float) -> Tim
     return union_grids([base_points], schedule, delta)[0]
 
 
-def sample_increments(grid: TimeGrid, seed: int) -> np.ndarray:
-    """Standard normal draws scaled to the grid gaps, one per gap."""
-    gaps = np.diff(grid.points)
-    z = np.random.default_rng(seed).standard_normal(len(gaps))
-    return z * np.sqrt(gaps)
-
-
 def sample_path(grid: TimeGrid, seed: int) -> BrownianPath:
     """Exact Brownian draw on the grid; deterministic in (grid, seed)."""
-    increments = sample_increments(grid, seed)
+    gaps = np.diff(grid.points)
+    increments = np.random.default_rng(seed).standard_normal(len(gaps)) * np.sqrt(gaps)
     values = np.empty(len(grid.points))
     values[0] = 0.0
     np.cumsum(increments, out=values[1:])

@@ -84,13 +84,6 @@ def forward_integral(phi, path: BrownianPath, sub_indices) -> float:
 ito_integral = forward_integral
 
 
-def _eval_sub_indices(grid: TimeGrid, horizon: float, delta: float) -> np.ndarray:
-    if grid.base_indices is not None:
-        return np.asarray(grid.base_indices, dtype=np.int64)
-    end = horizon - delta
-    return np.flatnonzero(grid.points <= end + 1e-12).astype(np.int64)
-
-
 def check_truncation(market: MarketCoefficients, strategy: Strategy,
                      grid: TimeGrid, delta: float) -> None:
     """Enforce the truncation rules for look-ahead strategies.
@@ -110,8 +103,7 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
         return
     schedule = strategy.schedule
     T = market.horizon
-    base = grid.points[_eval_sub_indices(grid, T, delta)]
-    gaps = np.diff(base)
+    plan = wealth_plan(market, strategy, grid, delta)
     if delta <= 0:
         report = classify_viability(schedule)
         if report.classification is not Classification.VIABLE:
@@ -121,8 +113,8 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
             )
     else:
         tail_start = T - 10.0 * delta
-        tail_gaps = gaps[base[:-1] >= tail_start - 1e-12]
-        max_tail_gap = float(tail_gaps.max() if tail_gaps.size else gaps.max())
+        tail_gaps = plan.dt[plan.t_left >= tail_start - 1e-12]
+        max_tail_gap = float(tail_gaps.max() if tail_gaps.size else plan.dt.max())
         scale = max(delta, float(schedule.eval(T - delta)))
         if 100.0 * max_tail_gap > scale:
             raise ForwardError(
@@ -130,22 +122,46 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
                 f"delta={delta:.3g} (look-ahead at the cut is {scale:.3g}); "
                 "refine the base grid or enlarge delta"
             )
-    eps = schedule.eval(base[:-1])
-    short = np.flatnonzero(eps < gaps)
+    short = np.flatnonzero(plan.eps < plan.dt)
     if short.size:
         j = short[0]
         raise ForwardError(
-            f"look-ahead {eps[j]:.3g} at t={base[j]:.6g} is shorter than its grid "
-            f"step {gaps[j]:.3g}; refine the base grid or enlarge delta"
+            f"look-ahead {plan.eps[j]:.3g} at t={plan.t_left[j]:.6g} is shorter than its "
+            f"grid step {plan.dt[j]:.3g}; refine the base grid or enlarge delta"
         )
 
 
-def _wealth_terms(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                  values: np.ndarray, delta: float, pi_cap: float | None,
-                  antithetic: bool = False):
-    """Left times, steps, alpha, beta, increments and a list of pi on the
-    base sub-grid: pi along ``values`` and, with antithetic, along ``-values``."""
-    sub = _eval_sub_indices(grid, market.horizon, delta)
+@dataclass(frozen=True)
+class WealthPlan:
+    """What the log-wealth kernels read from one (market, strategy, grid,
+    delta), evaluated once per grid: base-step indices, left-end values,
+    and for the insider the anchors, eps, 1/eps and ``const``, the
+    pair average's deterministic part sum (alpha/beta)^2 dt/2 + log x0."""
+
+    left: np.ndarray
+    right: np.ndarray
+    t_left: np.ndarray
+    dt: np.ndarray
+    half_dt: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    pi: np.ndarray
+    anchors: np.ndarray | None = None
+    eps: np.ndarray | None = None
+    inv_eps: np.ndarray | None = None
+    const: float = 0.0
+
+
+def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
+                delta: float) -> WealthPlan:
+    """The per-grid plan that log_wealth_matrix runs on."""
+    T = market.horizon
+    if not (0 <= delta < T):
+        raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
+    if grid.base_indices is not None:
+        sub = np.asarray(grid.base_indices, dtype=np.int64)
+    else:
+        sub = np.flatnonzero(grid.points <= T - delta + 1e-12)
     if sub.size < 2:
         raise ForwardError("no integration steps below the truncated horizon")
     left = sub[:-1]
@@ -154,63 +170,112 @@ def _wealth_terms(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid
     alpha = market.alpha(t_left)
     beta = market.beta(t_left)
     honest = alpha / beta**2
+    common = dict(left=left, right=sub[1:], t_left=t_left, dt=dt, half_dt=0.5 * dt,
+                  alpha=alpha, beta=beta)
+    if isinstance(strategy, (HonestStrategy, TableStrategy)):
+        pi = honest if isinstance(strategy, HonestStrategy) else strategy.fraction(t_left)
+        return WealthPlan(pi=pi, **common)
+    if not isinstance(strategy, InsiderStrategy):
+        raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
+    if grid.anchor_indices is None:
+        raise ForwardError("insider strategy needs a grid carrying anchor indices; "
+                           "build it with union_grid")
+    eps = strategy.schedule.eval(t_left)
+    const = float(np.sum(0.5 * (alpha / beta) ** 2 * dt) + np.log(market.x0))
+    anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
+    return WealthPlan(pi=honest, anchors=anchors, eps=eps, inv_eps=1.0 / eps,
+                      const=const, **common)
+
+
+def _raise_on_bad_row(block: np.ndarray) -> None:
+    """ForwardError naming the first row of ``block`` with a non-finite entry."""
+    bad = ~np.isfinite(block)
+    if np.any(bad):
+        row = int(np.argwhere(bad)[0][0])
+        err = ForwardError(f"non-finite portfolio fraction on path row {row}")
+        err.row = row
+        raise err
+
+
+def _wealth_terms(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
+                  antithetic: bool = False):
+    """Increments and a list of pi on the base sub-grid: pi along ``values``
+    and, with antithetic, along ``-values``."""
     # take() gathers into C layout, which keeps the later row sums
     # independent of how many rows ride along
-    pi = np.take(values, left, axis=1)
-    increments = np.take(values, sub[1:], axis=1)
+    pi = np.take(values, plan.left, axis=1)
+    increments = np.take(values, plan.right, axis=1)
     increments -= pi
-    if isinstance(strategy, InsiderStrategy):
-        if grid.anchor_indices is None:
-            raise ForwardError("insider strategy needs a grid carrying anchor indices; "
-                               "build it with union_grid")
-        anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
-        correction = np.take(values, anchors, axis=1)
+    if plan.anchors is not None:
+        correction = np.take(values, plan.anchors, axis=1)
         np.subtract(pi, correction, out=correction)
-        correction /= beta * strategy.schedule.eval(t_left)
-        pis = [np.subtract(honest, correction, out=pi)]
+        correction /= plan.beta * plan.eps
+        pis = [np.subtract(plan.pi, correction, out=pi)]
         if antithetic:
             # negating the path negates the correction exactly
-            pis.append(np.add(honest, correction, out=correction))
-    elif isinstance(strategy, (HonestStrategy, TableStrategy)):
-        pi[...] = honest if isinstance(strategy, HonestStrategy) else strategy.fraction(t_left)
-        pis = [pi] * (1 + antithetic)
+            pis.append(np.add(plan.pi, correction, out=correction))
     else:
-        raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
+        pi[...] = plan.pi
+        pis = [pi] * (1 + antithetic)
     if pi_cap is not None:
         for pi in pis:
             np.clip(pi, -pi_cap, pi_cap, out=pi)
-    return t_left, dt, alpha, beta, increments, pis
+    return increments, pis
+
+
+def _insider_pairs(plan: WealthPlan, values: np.ndarray):
+    """(total, stochastic, drift) of the insider's antithetic pair averages.
+
+    With r = (B(anchor) - B(t))/eps a pair averages to const + sum r*dB -
+    sum r^2 dt/2: the drift term linear in r cancels, as alpha equals
+    (alpha/beta^2)*beta^2, and the honest beta*dB term is odd in the path.
+    """
+    left = np.take(values, plan.left, axis=1)
+    r = np.take(values, plan.anchors, axis=1)
+    gain = np.take(values, plan.right, axis=1)
+    np.subtract(r, left, out=r)
+    r *= plan.inv_eps
+    np.subtract(gain, left, out=gain)
+    gain *= r
+    penalty = np.multiply(r, r, out=left)
+    penalty *= plan.half_dt
+    stochastic = np.sum(gain, axis=1)
+    drift = plan.const - np.sum(penalty, axis=1)
+    total = stochastic + drift
+    if not np.all(np.isfinite(total)):
+        _raise_on_bad_row(r)
+    return total, stochastic, drift
 
 
 def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
                       values: np.ndarray, delta: float, pi_cap: float | None = None,
-                      antithetic: bool = False):
+                      antithetic: bool = False, *, plan: WealthPlan | None = None):
     """Vectorized log wealth for a block of paths.
 
     ``values`` has one row per path, aligned with ``grid.points``.
     Returns (log_wealth, stochastic_part, drift_part) arrays, one entry
-    per row; with antithetic each is, bit for bit, the average of the
-    calls on ``values`` and ``-values``.  Raises ForwardError naming the
-    offending row if any portfolio fraction fails to be finite.  Callers
-    run check_truncation.
+    per row; with antithetic each is the average of the calls on
+    ``values`` and ``-values``, bit for bit except for the uncapped
+    insider's closed-form pairs.  Raises ForwardError naming the offending
+    row if any portfolio fraction fails to be finite.  ``plan`` defaults
+    to wealth_plan(market, strategy, grid, delta).  Callers run
+    check_truncation.
     """
-    T = market.horizon
-    if not (0 <= delta < T):
-        raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
+    if plan is None:
+        plan = wealth_plan(market, strategy, grid, delta)
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    _, dt, alpha, beta, increments, pis = _wealth_terms(market, strategy, grid, values,
-                                                        delta, pi_cap, antithetic)
+    # Only the uncapped insider's pairs take the closed form: clipping is
+    # not odd-symmetric, and honest or table pairs would collapse to an
+    # exact constant whose zero standard error makes every z infinite.
+    if antithetic and pi_cap is None and plan.anchors is not None:
+        return _insider_pairs(plan, values)
+    increments, pis = _wealth_terms(plan, values, pi_cap, antithetic)
     sides = []
     for pi, sign in zip(pis, (1.0, -1.0)):
-        bad = ~np.isfinite(pi)
-        if np.any(bad):
-            row = int(np.argwhere(bad)[0][0])
-            err = ForwardError(f"non-finite portfolio fraction on path row {row}")
-            err.row = row
-            raise err
+        _raise_on_bad_row(pi)
         # rounding is odd-symmetric, so negating the sum negates every term
-        stochastic = sign * np.sum(pi * beta * increments, axis=1)
-        drift = np.sum((pi * alpha - 0.5 * pi**2 * beta**2) * dt, axis=1)
+        stochastic = sign * np.sum(pi * plan.beta * increments, axis=1)
+        drift = np.sum((pi * plan.alpha - 0.5 * pi**2 * plan.beta**2) * plan.dt, axis=1)
         if market.x0 != 1.0:
             # deterministic initial term folded into the drift part so the
             # decomposition identity stays exact
@@ -239,11 +304,12 @@ def dump_wealth_csv(market: MarketCoefficients, strategy: Strategy, path: Browni
     """Write (t, pi, log_wealth) rows along one path; debug aid."""
     import csv
 
-    t_left, dt, alpha, beta, increments, (pi,) = _wealth_terms(
-        market, strategy, path.grid, path.values[None, :], delta, None)
-    running = np.cumsum(pi * beta * increments + (pi * alpha - 0.5 * pi**2 * beta**2) * dt)
+    plan = wealth_plan(market, strategy, path.grid, delta)
+    increments, (pi,) = _wealth_terms(plan, path.values[None, :], None)
+    running = np.cumsum(pi * plan.beta * increments
+                        + (pi * plan.alpha - 0.5 * pi**2 * plan.beta**2) * plan.dt)
     with open(target, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "pi", "log_wealth"])
-        for t, frac, lw in zip(t_left, pi[0], running):
+        for t, frac, lw in zip(plan.t_left, pi[0], running):
             writer.writerow([f"{t:.17g}", f"{frac:.17g}", f"{lw:.17g}"])

@@ -21,15 +21,15 @@ import numpy as np
 
 from insider_lab.brownian import TimeGrid, mix_seed, union_grid, union_grids
 from insider_lab.config import ExperimentConfig, MonteCarloError, config_digest
-from insider_lab.forward_sde import ForwardError, check_truncation, log_wealth_matrix
-from insider_lab.schedules import ConstantSchedule
-from insider_lab.strategy import (
-    HonestStrategy,
-    InsiderStrategy,
-    MarketCoefficients,
-    Strategy,
-    TableStrategy,
+from insider_lab.forward_sde import (
+    ForwardError,
+    WealthPlan,
+    check_truncation,
+    log_wealth_matrix,
+    wealth_plan,
 )
+from insider_lab.schedules import ConstantSchedule
+from insider_lab.strategy import MarketCoefficients, Strategy, TableStrategy
 
 # target size of one simulation block, in doubles; keeps peak memory flat
 # as grids grow while leaving enough rows for vectorization to pay off
@@ -130,10 +130,11 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int) -> 
     return np.concatenate(_map_in_order(run_chunk, bounds, threads), axis=-1)
 
 
-def _antithetic_log_wealth(cfg: ExperimentConfig, grid: TimeGrid, values: np.ndarray):
+def _antithetic_log_wealth(cfg: ExperimentConfig, grid: TimeGrid, plan: WealthPlan,
+                           values: np.ndarray):
     """Log wealth of every row, averaged with its negated path when pairing is on."""
     return log_wealth_matrix(cfg.market, cfg.strategy, grid, values, cfg.delta,
-                             pi_cap=cfg.pi_cap, antithetic=cfg.antithetic)[0]
+                             pi_cap=cfg.pi_cap, antithetic=cfg.antithetic, plan=plan)[0]
 
 
 def _estimate_from_sample(sample: np.ndarray) -> McEstimate:
@@ -153,9 +154,10 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     threads = _resolve_threads(threads)
     grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
     check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
+    plan = wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     sample = _run_chunks(units, cfg.master_seed, grid.points,
-                         lambda v: _antithetic_log_wealth(cfg, grid, v), threads)
+                         lambda v: _antithetic_log_wealth(cfg, grid, plan, v), threads)
     return _estimate_from_sample(sample)
 
 
@@ -185,22 +187,14 @@ def discretized_mean(market: MarketCoefficients, strategy: Strategy,
     Riemann sum of (alpha/beta)^2/2 + 1/(2 eps).  Used as a control
     variate and as an oracle for discretization-bias studies.
     """
-    sub = np.asarray(grid.base_indices, dtype=np.int64)
-    t_left = grid.points[sub[:-1]]
-    dt = np.diff(grid.points[sub])
-    alpha = market.alpha(t_left)
-    beta = market.beta(t_left)
-    if isinstance(strategy, HonestStrategy):
-        rate = 0.5 * (alpha / beta) ** 2
-    elif isinstance(strategy, InsiderStrategy):
-        eps = strategy.schedule.eval(t_left)
-        rate = 0.5 * (alpha / beta) ** 2 + 0.5 / eps
-    elif isinstance(strategy, TableStrategy):
-        f = strategy.fraction(t_left)
-        rate = f * alpha - 0.5 * f**2 * beta**2
+    plan = wealth_plan(market, strategy, grid, delta)
+    if isinstance(strategy, TableStrategy):
+        rate = plan.pi * plan.alpha - 0.5 * plan.pi**2 * plan.beta**2
     else:
-        raise MonteCarloError(f"unknown strategy type {type(strategy).__name__}")
-    total = float(np.dot(rate, dt))
+        rate = 0.5 * (plan.alpha / plan.beta) ** 2
+    if plan.eps is not None:
+        rate = rate + 0.5 / plan.eps
+    total = float(np.dot(rate, plan.dt))
     if market.x0 != 1.0:
         total += math.log(market.x0)
     return total
@@ -234,11 +228,12 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
     grids = union_grids(sizes, cfg.schedule, cfg.delta)
     for grid in grids:
         check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
+    plans = [wealth_plan(cfg.market, cfg.strategy, g, cfg.delta) for g in grids]
     centers = [discretized_mean(cfg.market, cfg.strategy, g, cfg.delta) for g in grids]
     center_avg = float(np.mean(centers))
 
     def run_chunk(values):
-        per_level = [_antithetic_log_wealth(cfg, g, values) for g in grids]
+        per_level = [_antithetic_log_wealth(cfg, g, p, values) for g, p in zip(grids, plans)]
         control = np.mean(per_level, axis=0) - center_avg
         return np.stack([x - control for x in per_level])
 

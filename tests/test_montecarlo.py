@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import insider_lab.montecarlo as mc
-from insider_lab.brownian import mix_seed, union_grid
+from insider_lab.brownian import mix_seed, union_grid, union_grids
 from insider_lab.config import config_digest, to_dict as config_dict
 from insider_lab.forward_sde import ForwardError, check_truncation
 from insider_lab.montecarlo import (
@@ -258,6 +258,59 @@ class TestFailurePropagation:
         cfg = honest_config(strategy=TableStrategy(knots=knots))
         with pytest.raises(BatchAbort, match=str(mix_seed(42, 0))):
             refinement_study(cfg, levels=2)
+
+    def test_bad_pair_aborts_with_seed(self, monkeypatch):
+        # the uncapped insider's pairs take the closed-form kernel; a NaN
+        # planted in row 1 of the first chunk must still name that path
+        draw = mc._normal_block
+
+        def poisoned(seeds, sqrt_gaps):
+            values = draw(seeds, sqrt_gaps)
+            if seeds[0] == mix_seed(42, 0):
+                values[1, 5] = np.nan
+            return values
+
+        monkeypatch.setattr(mc, "_normal_block", poisoned)
+        with pytest.raises(BatchAbort, match=f"seed {mix_seed(42, 1)} \\(unit 1\\)"):
+            estimate_log_utility(insider_config(n_paths=400, base_points=512))
+
+
+class TestKernelHook:
+    """The kernel is reached through the module attribute the benchmark's
+    tracer wraps, once per chunk per grid, with the values block 4th."""
+
+    def count_calls(self, monkeypatch, run):
+        calls = []
+        kernel = mc.log_wealth_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_CHUNK_TARGET", 1 << 15)
+        monkeypatch.setattr(mc, "log_wealth_matrix", counting)
+        run()
+        return calls
+
+    def test_estimate_calls_once_per_chunk(self, monkeypatch):
+        cfg = insider_config(n_paths=400, base_points=512)
+        points = len(union_grid(cfg.base_points, cfg.schedule, cfg.delta).points)
+        calls = self.count_calls(monkeypatch, lambda: estimate_log_utility(cfg, threads=1))
+        assert len(calls) == math.ceil(200 / mc._chunk_units(points)) > 1
+        assert all(v.ndim == 2 and v.shape[1] == points for v in calls)
+        assert sum(v.shape[0] for v in calls) == 200
+
+    def test_refine_calls_once_per_chunk_per_level(self, monkeypatch):
+        cfg = insider_config(n_paths=400, base_points=512)
+        grid = union_grids([512, 2048], cfg.schedule, cfg.delta)[0]
+        points = len(grid.points)
+        calls = self.count_calls(monkeypatch,
+                                 lambda: refinement_study(cfg, levels=2, threads=1))
+        chunks = math.ceil(200 / mc._chunk_units(points))
+        assert chunks > 1
+        assert len(calls) == 2 * chunks
+        assert all(v.ndim == 2 and v.shape[1] == points for v in calls)
+        assert sum(v.shape[0] for v in calls) == 2 * 200
 
 
 class TestCiCalibration:
