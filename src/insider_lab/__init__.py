@@ -1,133 +1,3 @@
 """Simulation lab for insider trading under deterministic look-ahead schedules."""
 
-from insider_lab.analysis import (
-    ComparisonReport,
-    Verdict,
-    benchmark_value,
-    compare,
-    honest_utility,
-    report_dict,
-    sweep_to_csv,
-    theoretical_utility,
-    truncation_sweep,
-)
-from insider_lab.brownian import (
-    BrownianPath,
-    GridError,
-    TimeGrid,
-    mix_seed,
-    sample_path,
-    union_grid,
-)
-from insider_lab.config import (
-    ExperimentConfig,
-    MonteCarloError,
-    config_digest,
-    parse_schedule,
-    parse_strategy,
-)
-from insider_lab.forward_sde import (
-    ForwardError,
-    LogWealthSample,
-    forward_integral,
-    ito_integral,
-    log_wealth,
-    log_wealth_matrix,
-)
-from insider_lab.montecarlo import (
-    BatchAbort,
-    McEstimate,
-    RefinementLevel,
-    bridge_drift_regression,
-    duality_check,
-    estimate_log_utility,
-    martingale_gap_check,
-    refinement_study,
-    run_experiment,
-)
-from insider_lab.schedules import (
-    AffineBelowSchedule,
-    Classification,
-    ConstantSchedule,
-    EpsilonSchedule,
-    Method,
-    PowerLawSchedule,
-    QuadratureError,
-    Regime,
-    ScheduleError,
-    TableSchedule,
-    ViabilityReport,
-    classify_viability,
-    regime,
-    viability_integral,
-)
-from insider_lab.strategy import (
-    HonestStrategy,
-    InsiderStrategy,
-    MarketCoefficients,
-    PiecewiseConstant,
-    Strategy,
-    StrategyError,
-    TableStrategy,
-)
-
-__all__ = [
-    "AffineBelowSchedule",
-    "BatchAbort",
-    "BrownianPath",
-    "Classification",
-    "ComparisonReport",
-    "ConstantSchedule",
-    "EpsilonSchedule",
-    "ExperimentConfig",
-    "ForwardError",
-    "GridError",
-    "HonestStrategy",
-    "InsiderStrategy",
-    "LogWealthSample",
-    "MarketCoefficients",
-    "McEstimate",
-    "Method",
-    "MonteCarloError",
-    "PiecewiseConstant",
-    "PowerLawSchedule",
-    "QuadratureError",
-    "RefinementLevel",
-    "Regime",
-    "ScheduleError",
-    "Strategy",
-    "StrategyError",
-    "TableSchedule",
-    "TableStrategy",
-    "TimeGrid",
-    "Verdict",
-    "ViabilityReport",
-    "benchmark_value",
-    "bridge_drift_regression",
-    "classify_viability",
-    "compare",
-    "config_digest",
-    "duality_check",
-    "estimate_log_utility",
-    "forward_integral",
-    "honest_utility",
-    "ito_integral",
-    "log_wealth",
-    "log_wealth_matrix",
-    "martingale_gap_check",
-    "mix_seed",
-    "parse_schedule",
-    "parse_strategy",
-    "refinement_study",
-    "regime",
-    "report_dict",
-    "run_experiment",
-    "sample_path",
-    "sweep_to_csv",
-    "theoretical_utility",
-    "truncation_sweep",
-    "union_grid",
-    "viability_integral",
-]
-
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ integral does, and grow without bound otherwise.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -185,18 +184,3 @@ def report_dict(report: ComparisonReport) -> dict:
         "abs_tol": report.abs_tol,
     }
 
-
-def sweep_to_csv(reports, target) -> None:
-    """Write sweep rows as delta, theory, mc_mean, mc_stderr, z, verdict."""
-    with open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "theory", "mc_mean", "mc_stderr", "z", "verdict"])
-        for rep in reports:
-            writer.writerow([
-                f"{rep.delta:.17g}",
-                f"{rep.theory:.17g}",
-                f"{rep.mc.mean:.17g}",
-                f"{rep.mc.stderr:.17g}",
-                f"{rep.z_score:.17g}",
-                rep.verdict.value,
-            ])

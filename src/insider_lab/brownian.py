@@ -189,13 +189,3 @@ def value_at(path: BrownianPath, t: float) -> float:
     """Stored path value at grid time t; off-grid times are an error."""
     return float(path.values[path.grid.index_of(t)])
 
-
-def dump_path_csv(path: BrownianPath, target) -> None:
-    """Write (t, B) rows for one path; debugging aid behind a CLI flag."""
-    import csv
-
-    with open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "B"])
-        for t, b in zip(path.grid.points, path.values):
-            writer.writerow([f"{t:.17g}", f"{b:.17g}"])

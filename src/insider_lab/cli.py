@@ -1,11 +1,13 @@
 """Command-line harness tying schedules, simulation and analysis together.
 
-Seven subcommands cover the workflow end to end: classify a look-ahead
+Eight subcommands cover the workflow end to end: classify a look-ahead
 schedule (``viability``), estimate expected log utility (``simulate``),
 grade an estimate against its closed form (``compare`` and ``sweep``),
-check the forward-integral expectation identities (``duality``),
-tabulate the conditional-density layer (``donsker-table``) and regress
-conditional increment drifts (``drift-check``).
+track discretization bias on nested grids (``refine``), check the
+forward-integral expectation identities (``duality``), tabulate the
+conditional-density layer (``donsker-table``) and regress conditional
+increment drifts (``drift-check``).  This module writes every result
+file; each command ends in ``_emit``.
 
 Experiment commands read an optional JSON config file; inline flags win
 over file values and unknown file keys are hard errors.  A config
@@ -29,7 +31,7 @@ import sys
 import numpy as np
 
 from insider_lab import analysis
-from insider_lab.brownian import dump_path_csv, mix_seed, sample_path, union_grid
+from insider_lab.brownian import mix_seed, sample_path, union_grid
 from insider_lab.config import (
     MARKET_DEFAULTS,
     STRATEGY_DEFAULT,
@@ -50,7 +52,7 @@ from insider_lab.donsker import (
     cond_delta_deriv_2d,
     malliavin_ratio,
 )
-from insider_lab.forward_sde import dump_wealth_csv
+from insider_lab.forward_sde import wealth_trace
 from insider_lab.montecarlo import (
     BatchAbort,
     bridge_drift_regression,
@@ -292,6 +294,36 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([x if isinstance(x, str) else f"{x:.17g}" for x in row])
 
 
+def _emit(args, payload, header, rows, line, failed=False) -> int:
+    """Write ``--output`` in ``--format``, print the summary line and return
+    the exit code: 3 when ``failed`` under ``--strict``, else 0."""
+    if args.output:
+        if args.format == "json":
+            _write_json(args.output, payload)
+        else:
+            _write_csv(args.output, header, rows)
+    print(line)
+    return 3 if failed and args.strict else 0
+
+
+_REPORT_HEADER = ["delta", "theory", "mc_mean", "mc_stderr", "z", "verdict"]
+
+
+def _report_rows(reports):
+    return [[rep.delta, rep.theory, rep.mc.mean, rep.mc.stderr, rep.z_score,
+             rep.verdict.value] for rep in reports]
+
+
+def _floats(text: str, flag: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise CliError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise CliError(f"{flag} needs at least one value")
+    return values
+
+
 def _cmd_viability(args):
     schedule = parse_schedule(args.schedule, args.horizon)
     report = classify_viability(schedule)
@@ -310,47 +342,35 @@ def _cmd_viability(args):
                            f"integral, got {args.delta!r}")
         payload["delta"] = args.delta
         payload["truncated_integral"] = viability_integral(schedule, args.delta)
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            _write_csv(args.output,
-                       ["schedule", "horizon", "classification", "integral", "method"],
-                       [[describe(schedule), args.horizon,
-                         report.classification.value, report.integral_label(),
-                         report.method.value]])
-    print(f"{describe(schedule)} on [0, {args.horizon:g}] -> "
-          f"{report.classification.value} "
-          f"(integral {report.integral_label()}, {report.method.value})")
-    return 0
+    return _emit(args, payload,
+                 ["schedule", "horizon", "classification", "integral", "method"],
+                 [[describe(schedule), args.horizon, report.classification.value,
+                   report.integral_label(), report.method.value]],
+                 f"{describe(schedule)} on [0, {args.horizon:g}] -> "
+                 f"{report.classification.value} "
+                 f"(integral {report.integral_label()}, {report.method.value})")
 
 
 def _cmd_simulate(args):
     cfg = _build_config(args)
     result = run_experiment(cfg, threads=_threads_from(args))
-    payload = {"command": "simulate", "config": to_dict(cfg), **result}
     if args.dump_path or args.dump_wealth:
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
         path = sample_path(grid, mix_seed(cfg.master_seed, 0))
         if args.dump_path:
-            dump_path_csv(path, args.dump_path)
+            _write_csv(args.dump_path, ["t", "B"], zip(grid.points, path.values))
         if args.dump_wealth:
-            dump_wealth_csv(cfg.market, cfg.strategy, path, cfg.delta,
-                            args.dump_wealth)
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            _write_csv(args.output,
-                       ["config_digest", "mean", "stderr", "ci_lo", "ci_hi",
-                        "n_paths", "wall_time_s"],
-                       [[result["config_digest"], result["mean"], result["stderr"],
-                         result["ci95"][0], result["ci95"][1],
-                         f'{result["n_paths"]}', result["wall_time_s"]]])
-    print(f"mean={result['mean']:.6f} stderr={result['stderr']:.6f} "
-          f"n={result['n_paths']} digest={result['config_digest']} "
-          f"wall={result['wall_time_s']:.2f}s")
-    return 0
+            _write_csv(args.dump_wealth, ["t", "pi", "log_wealth"],
+                       zip(*wealth_trace(cfg.market, cfg.strategy, path, cfg.delta)))
+    return _emit(args, {"command": "simulate", "config": to_dict(cfg), **result},
+                 ["config_digest", "mean", "stderr", "ci_lo", "ci_hi", "n_paths",
+                  "wall_time_s"],
+                 [[result["config_digest"], result["mean"], result["stderr"],
+                   result["ci95"][0], result["ci95"][1], f'{result["n_paths"]}',
+                   result["wall_time_s"]]],
+                 f"mean={result['mean']:.6f} stderr={result['stderr']:.6f} "
+                 f"n={result['n_paths']} digest={result['config_digest']} "
+                 f"wall={result['wall_time_s']:.2f}s")
 
 
 def _cmd_compare(args):
@@ -359,48 +379,25 @@ def _cmd_compare(args):
     payload = {"command": "compare", "config": to_dict(cfg),
                "config_digest": config_digest(cfg),
                "report": analysis.report_dict(report)}
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            analysis.sweep_to_csv([report], args.output)
-    print(f"{report.verdict.value}: theory={report.theory:.6f} "
-          f"mc={report.mc.mean:.6f} stderr={report.mc.stderr:.6f} "
-          f"z={report.z_score:+.2f}")
-    if args.strict and not report.passed():
-        return 3
-    return 0
-
-
-def _parse_deltas(text: str) -> list[float]:
-    try:
-        deltas = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise CliError(f"--deltas must be comma-separated numbers, got {text!r}") from None
-    if not deltas:
-        raise CliError("--deltas needs at least one value")
-    return deltas
+    return _emit(args, payload, _REPORT_HEADER, _report_rows([report]),
+                 f"{report.verdict.value}: theory={report.theory:.6f} "
+                 f"mc={report.mc.mean:.6f} stderr={report.mc.stderr:.6f} "
+                 f"z={report.z_score:+.2f}", failed=not report.passed())
 
 
 def _cmd_sweep(args):
     cfg = _build_config(args)
-    deltas = _parse_deltas(args.deltas)
+    deltas = _floats(args.deltas, "--deltas")
     reports = analysis.truncation_sweep(cfg, deltas, abs_tol=args.abs_tol,
                                         threads=_threads_from(args))
     payload = {"command": "sweep", "config": to_dict(cfg),
                "config_digest": config_digest(cfg),
                "reports": [analysis.report_dict(rep) for rep in reports]}
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            analysis.sweep_to_csv(reports, args.output)
     n_pass = sum(rep.passed() for rep in reports)
     pretty = ", ".join(f"{d:g}" for d in deltas)
-    print(f"{n_pass}/{len(reports)} Pass across deltas [{pretty}]")
-    if args.strict and n_pass < len(reports):
-        return 3
-    return 0
+    return _emit(args, payload, _REPORT_HEADER, _report_rows(reports),
+                 f"{n_pass}/{len(reports)} Pass across deltas [{pretty}]",
+                 failed=n_pass < len(reports))
 
 
 def _cmd_refine(args):
@@ -423,20 +420,13 @@ def _cmd_refine(args):
                "config_digest": config_digest(cfg), "theory": theory,
                "levels": rows, "gap_ratios": ratios,
                "min_ratio": args.min_ratio, "verdict": verdict}
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            _write_csv(args.output,
-                       ["base_points", "mean", "stderr", "theory", "abs_gap"],
-                       [[f'{r["base_points"]}', r["mean"], r["stderr"], theory,
-                         r["abs_gap"]] for r in rows])
     pretty_gaps = ", ".join(f"{g:.3e}" for g in gaps)
     pretty_ratios = ", ".join(f"{r:.2f}" for r in ratios)
-    print(f"gaps [{pretty_gaps}] ratios [{pretty_ratios}] {verdict}")
-    if args.strict and verdict != "Pass":
-        return 3
-    return 0
+    return _emit(args, payload, ["base_points", "mean", "stderr", "theory", "abs_gap"],
+                 [[f'{r["base_points"]}', r["mean"], r["stderr"], theory, r["abs_gap"]]
+                  for r in rows],
+                 f"gaps [{pretty_gaps}] ratios [{pretty_ratios}] {verdict}",
+                 failed=verdict != "Pass")
 
 
 def _cmd_duality(args):
@@ -449,18 +439,11 @@ def _cmd_duality(args):
                "seed": args.seed, "mean": est.mean, "stderr": est.stderr,
                "ci95": list(est.ci95), "n_paths": est.n_paths,
                "analytic": analytic, "z_score": z, "verdict": verdict.value}
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            _write_csv(args.output,
-                       ["kind", "analytic", "mean", "stderr", "z", "verdict"],
-                       [[args.kind, analytic, est.mean, est.stderr, z, verdict.value]])
-    print(f"{args.kind}: mean={est.mean:.6f} analytic={analytic:g} "
-          f"z={z:+.2f} {verdict.value}")
-    if args.strict and verdict is not analysis.Verdict.PASS:
-        return 3
-    return 0
+    return _emit(args, payload, ["kind", "analytic", "mean", "stderr", "z", "verdict"],
+                 [[args.kind, analytic, est.mean, est.stderr, z, verdict.value]],
+                 f"{args.kind}: mean={est.mean:.6f} analytic={analytic:g} "
+                 f"z={z:+.2f} {verdict.value}",
+                 failed=verdict is not analysis.Verdict.PASS)
 
 
 def _cmd_donsker_table(args):
@@ -479,29 +462,17 @@ def _cmd_donsker_table(args):
                          cond_delta_2d(p, float(y1), float(y2)),
                          cond_delta_deriv_2d(p, float(y1), float(y2)),
                          ratio])
+    columns = ["y1", "y2", "density", "derivative", "ratio"]
     payload = {"command": "donsker-table", "base": args.base, "eps1": args.eps1,
                "eps2": args.eps2, "points": args.points, "span": args.span,
-               "columns": ["y1", "y2", "density", "derivative", "ratio"],
-               "rows": rows}
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            _write_csv(args.output, ["y1", "y2", "density", "derivative", "ratio"],
-                       rows)
-    print(f"{len(rows)} rows (base={args.base:g}, eps1={args.eps1:g}, "
-          f"eps2={args.eps2:g})")
-    return 0
+               "columns": columns, "rows": rows}
+    return _emit(args, payload, columns, rows,
+                 f"{len(rows)} rows (base={args.base:g}, eps1={args.eps1:g}, "
+                 f"eps2={args.eps2:g})")
 
 
 def _cmd_drift_check(args):
-    try:
-        ratios = [float(x) for x in args.ratios.split(",") if x.strip()]
-    except ValueError:
-        raise CliError(f"--ratios must be comma-separated numbers, "
-                       f"got {args.ratios!r}") from None
-    if not ratios:
-        raise CliError("--ratios needs at least one value")
+    ratios = _floats(args.ratios, "--ratios")
     rows = []
     for k, ratio in enumerate(ratios):
         h = ratio * args.eps
@@ -525,21 +496,13 @@ def _cmd_drift_check(args):
                          "z_score": z, "verdict": verdict.value})
     payload = {"command": "drift-check", "t": args.t, "eps": args.eps,
                "paths": args.paths, "seed": args.seed, "rows": rows}
-    if args.output:
-        if args.format == "json":
-            _write_json(args.output, payload)
-        else:
-            _write_csv(args.output,
-                       ["kind", "h_over_eps", "slope", "stderr", "expected",
-                        "z", "verdict"],
-                       [[r["kind"], r["h_over_eps"], r["slope"], r["stderr"],
-                         r["expected"], r["z_score"], r["verdict"]]
-                        for r in rows])
     n_pass = sum(r["verdict"] == "Pass" for r in rows)
-    print(f"{n_pass}/{len(rows)} Pass (t={args.t:g}, eps={args.eps:g})")
-    if args.strict and n_pass < len(rows):
-        return 3
-    return 0
+    return _emit(args, payload,
+                 ["kind", "h_over_eps", "slope", "stderr", "expected", "z", "verdict"],
+                 [[r["kind"], r["h_over_eps"], r["slope"], r["stderr"], r["expected"],
+                   r["z_score"], r["verdict"]] for r in rows],
+                 f"{n_pass}/{len(rows)} Pass (t={args.t:g}, eps={args.eps:g})",
+                 failed=n_pass < len(rows))
 
 
 def main(argv=None) -> int:

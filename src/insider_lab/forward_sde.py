@@ -84,8 +84,8 @@ def forward_integral(phi, path: BrownianPath, sub_indices) -> float:
 ito_integral = forward_integral
 
 
-def check_truncation(market: MarketCoefficients, strategy: Strategy,
-                     grid: TimeGrid, delta: float) -> None:
+def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
+                     delta: float, *, plan: WealthPlan | None = None) -> None:
     """Enforce the truncation rules for look-ahead strategies.
 
     The left-endpoint bias of the look-ahead integrand scales with
@@ -98,12 +98,14 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
     Every base step must also be no longer than the look-ahead at its
     left end, eps(t_j) >= dt_j, so that each anchor lies beyond the end
     of its step: then discretized_mean is the estimator's exact mean.
+    ``plan`` defaults to wealth_plan(market, strategy, grid, delta).
     """
     if not isinstance(strategy, InsiderStrategy):
         return
     schedule = strategy.schedule
     T = market.horizon
-    plan = wealth_plan(market, strategy, grid, delta)
+    if plan is None:
+        plan = wealth_plan(market, strategy, grid, delta)
     if delta <= 0:
         report = classify_viability(schedule)
         if report.classification is not Classification.VIABLE:
@@ -135,7 +137,7 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy,
 class WealthPlan:
     """What the log-wealth kernels read from one (market, strategy, grid,
     delta), evaluated once per grid: base-step indices, left-end values,
-    and for the insider the anchors, eps, 1/eps and ``const``, the
+    log x0, and for the insider the anchors, eps, 1/eps and ``const``, the
     pair average's deterministic part sum (alpha/beta)^2 dt/2 + log x0."""
 
     left: np.ndarray
@@ -146,6 +148,7 @@ class WealthPlan:
     alpha: np.ndarray
     beta: np.ndarray
     pi: np.ndarray
+    log_x0: float
     anchors: np.ndarray | None = None
     eps: np.ndarray | None = None
     inv_eps: np.ndarray | None = None
@@ -170,8 +173,9 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
     alpha = market.alpha(t_left)
     beta = market.beta(t_left)
     honest = alpha / beta**2
+    log_x0 = float(np.log(market.x0))
     common = dict(left=left, right=sub[1:], t_left=t_left, dt=dt, half_dt=0.5 * dt,
-                  alpha=alpha, beta=beta)
+                  alpha=alpha, beta=beta, log_x0=log_x0)
     if isinstance(strategy, (HonestStrategy, TableStrategy)):
         pi = honest if isinstance(strategy, HonestStrategy) else strategy.fraction(t_left)
         return WealthPlan(pi=pi, **common)
@@ -181,20 +185,21 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
         raise ForwardError("insider strategy needs a grid carrying anchor indices; "
                            "build it with union_grid")
     eps = strategy.schedule.eval(t_left)
-    const = float(np.sum(0.5 * (alpha / beta) ** 2 * dt) + np.log(market.x0))
+    const = float(np.sum(0.5 * (alpha / beta) ** 2 * dt) + log_x0)
     anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
     return WealthPlan(pi=honest, anchors=anchors, eps=eps, inv_eps=1.0 / eps,
                       const=const, **common)
 
 
-def _raise_on_bad_row(block: np.ndarray) -> None:
-    """ForwardError naming the first row of ``block`` with a non-finite entry."""
-    bad = ~np.isfinite(block)
-    if np.any(bad):
-        row = int(np.argwhere(bad)[0][0])
-        err = ForwardError(f"non-finite portfolio fraction on path row {row}")
-        err.row = row
+def _checked(total: np.ndarray, stochastic: np.ndarray, drift: np.ndarray):
+    """The three row arrays, or ForwardError naming the first row whose
+    total is not finite."""
+    bad = np.flatnonzero(~np.isfinite(total))
+    if bad.size:
+        err = ForwardError(f"non-finite log wealth on path row {bad[0]}")
+        err.row = int(bad[0])
         raise err
+    return total, stochastic, drift
 
 
 def _wealth_terms(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
@@ -223,6 +228,16 @@ def _wealth_terms(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
     return increments, pis
 
 
+# The per-step terms of log wealth, one helper each, so that the row-sum
+# kernel reduces one (rows x steps) array before it builds the next.
+def _step_gain(plan: WealthPlan, pi: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    return pi * plan.beta * increments
+
+
+def _step_drift(plan: WealthPlan, pi: np.ndarray) -> np.ndarray:
+    return (pi * plan.alpha - 0.5 * pi**2 * plan.beta**2) * plan.dt
+
+
 def _insider_pairs(plan: WealthPlan, values: np.ndarray):
     """(total, stochastic, drift) of the insider's antithetic pair averages.
 
@@ -241,10 +256,7 @@ def _insider_pairs(plan: WealthPlan, values: np.ndarray):
     penalty *= plan.half_dt
     stochastic = np.sum(gain, axis=1)
     drift = plan.const - np.sum(penalty, axis=1)
-    total = stochastic + drift
-    if not np.all(np.isfinite(total)):
-        _raise_on_bad_row(r)
-    return total, stochastic, drift
+    return stochastic + drift, stochastic, drift
 
 
 def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
@@ -256,9 +268,9 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
     Returns (log_wealth, stochastic_part, drift_part) arrays, one entry
     per row; with antithetic each is the average of the calls on
     ``values`` and ``-values``, bit for bit except for the uncapped
-    insider's closed-form pairs.  Raises ForwardError naming the offending
-    row if any portfolio fraction fails to be finite.  ``plan`` defaults
-    to wealth_plan(market, strategy, grid, delta).  Callers run
+    insider's closed-form pairs.  Raises ForwardError naming the first
+    row whose log wealth is not finite.  ``plan`` defaults to
+    wealth_plan(market, strategy, grid, delta).  Callers run
     check_truncation.
     """
     if plan is None:
@@ -268,29 +280,27 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
     # not odd-symmetric, and honest or table pairs would collapse to an
     # exact constant whose zero standard error makes every z infinite.
     if antithetic and pi_cap is None and plan.anchors is not None:
-        return _insider_pairs(plan, values)
+        return _checked(*_insider_pairs(plan, values))
     increments, pis = _wealth_terms(plan, values, pi_cap, antithetic)
     sides = []
     for pi, sign in zip(pis, (1.0, -1.0)):
-        _raise_on_bad_row(pi)
-        # rounding is odd-symmetric, so negating the sum negates every term
-        stochastic = sign * np.sum(pi * plan.beta * increments, axis=1)
-        drift = np.sum((pi * plan.alpha - 0.5 * pi**2 * plan.beta**2) * plan.dt, axis=1)
-        if market.x0 != 1.0:
-            # deterministic initial term folded into the drift part so the
-            # decomposition identity stays exact
-            drift = drift + np.log(market.x0)
+        # rounding is odd-symmetric, so negating the sum negates every term;
+        # log x0 sits in the drift part so the decomposition stays exact
+        stochastic = sign * np.sum(_step_gain(plan, pi, increments), axis=1)
+        drift = np.sum(_step_drift(plan, pi), axis=1) + plan.log_x0
         sides.append((stochastic + drift, stochastic, drift))
-    return sides[0] if len(sides) == 1 else tuple(0.5 * (p + m) for p, m in zip(*sides))
+    rows = sides[0] if len(sides) == 1 else [0.5 * (p + m) for p, m in zip(*sides)]
+    return _checked(*rows)
 
 
 def log_wealth(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
                delta: float, pi_cap: float | None = None) -> LogWealthSample:
     """Log wealth of one path at horizon T - delta, refused if check_truncation fails."""
+    plan = wealth_plan(market, strategy, path.grid, delta)
     total, stoch, drift = log_wealth_matrix(
-        market, strategy, path.grid, path.values[None, :], delta, pi_cap
+        market, strategy, path.grid, path.values[None, :], delta, pi_cap, plan=plan
     )
-    check_truncation(market, strategy, path.grid, delta)
+    check_truncation(market, strategy, path.grid, delta, plan=plan)
     return LogWealthSample(
         horizon=market.horizon - delta,
         log_wealth=float(total[0]),
@@ -299,17 +309,11 @@ def log_wealth(market: MarketCoefficients, strategy: Strategy, path: BrownianPat
     )
 
 
-def dump_wealth_csv(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
-                    delta: float, target) -> None:
-    """Write (t, pi, log_wealth) rows along one path; debug aid."""
-    import csv
-
+def wealth_trace(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
+                 delta: float):
+    """(t, pi, running log wealth) along one path: for each base step, its
+    left end, the fraction held over it and the log wealth at its right end."""
     plan = wealth_plan(market, strategy, path.grid, delta)
     increments, (pi,) = _wealth_terms(plan, path.values[None, :], None)
-    running = np.cumsum(pi * plan.beta * increments
-                        + (pi * plan.alpha - 0.5 * pi**2 * plan.beta**2) * plan.dt)
-    with open(target, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "pi", "log_wealth"])
-        for t, frac, lw in zip(plan.t_left, pi[0], running):
-            writer.writerow([f"{t:.17g}", f"{frac:.17g}", f"{lw:.17g}"])
+    steps = _step_gain(plan, pi[0], increments[0]) + _step_drift(plan, pi[0])
+    return plan.t_left, pi[0], plan.log_x0 + np.cumsum(steps)

@@ -153,8 +153,8 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     """
     threads = _resolve_threads(threads)
     grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
-    check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
     plan = wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta)
+    check_truncation(cfg.market, cfg.strategy, grid, cfg.delta, plan=plan)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     sample = _run_chunks(units, cfg.master_seed, grid.points,
                          lambda v: _antithetic_log_wealth(cfg, grid, plan, v), threads)
@@ -175,8 +175,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     }
 
 
-def discretized_mean(market: MarketCoefficients, strategy: Strategy,
-                     grid: TimeGrid, delta: float) -> float:
+def discretized_mean(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
+                     delta: float, *, plan: WealthPlan | None = None) -> float:
     """Closed-form expectation of the discretized log-wealth estimator.
 
     On a fixed grid the estimator's mean is known exactly: the
@@ -185,19 +185,18 @@ def discretized_mean(market: MarketCoefficients, strategy: Strategy,
     dt/eps (from the squared increment inside the correction) minus
     half of dt/eps (from the variance penalty), leaving the left
     Riemann sum of (alpha/beta)^2/2 + 1/(2 eps).  Used as a control
-    variate and as an oracle for discretization-bias studies.
+    variate and as an oracle for discretization-bias studies.  ``plan``
+    defaults to wealth_plan(market, strategy, grid, delta).
     """
-    plan = wealth_plan(market, strategy, grid, delta)
+    if plan is None:
+        plan = wealth_plan(market, strategy, grid, delta)
     if isinstance(strategy, TableStrategy):
         rate = plan.pi * plan.alpha - 0.5 * plan.pi**2 * plan.beta**2
     else:
         rate = 0.5 * (plan.alpha / plan.beta) ** 2
     if plan.eps is not None:
         rate = rate + 0.5 / plan.eps
-    total = float(np.dot(rate, plan.dt))
-    if market.x0 != 1.0:
-        total += math.log(market.x0)
-    return total
+    return float(np.dot(rate, plan.dt)) + plan.log_x0
 
 
 @dataclass(frozen=True)
@@ -226,10 +225,11 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
     threads = _resolve_threads(threads)
     sizes = [cfg.base_points * factor**k for k in range(levels)]
     grids = union_grids(sizes, cfg.schedule, cfg.delta)
-    for grid in grids:
-        check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
     plans = [wealth_plan(cfg.market, cfg.strategy, g, cfg.delta) for g in grids]
-    centers = [discretized_mean(cfg.market, cfg.strategy, g, cfg.delta) for g in grids]
+    for grid, plan in zip(grids, plans):
+        check_truncation(cfg.market, cfg.strategy, grid, cfg.delta, plan=plan)
+    centers = [discretized_mean(cfg.market, cfg.strategy, g, cfg.delta, plan=p)
+               for g, p in zip(grids, plans)]
     center_avg = float(np.mean(centers))
 
     def run_chunk(values):

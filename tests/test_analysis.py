@@ -14,10 +14,10 @@ from insider_lab.analysis import (
     grade,
     honest_utility,
     report_dict,
-    sweep_to_csv,
     theoretical_utility,
     truncation_sweep,
 )
+from insider_lab.cli import main
 from insider_lab.montecarlo import ExperimentConfig, McEstimate
 from insider_lab.schedules import AffineBelowSchedule, ConstantSchedule, PowerLawSchedule
 from insider_lab.strategy import (
@@ -272,7 +272,9 @@ class TestSerialization:
     def test_csv_layout(self, tmp_path):
         reports = self.make_reports()
         out = tmp_path / "sweep.csv"
-        sweep_to_csv(reports, out)
+        assert main(["sweep", "--schedule", "const:1", "--paths", "400",
+                     "--base-points", "256", "--deltas", "1e-2,1e-3",
+                     "--output", str(out), "--format", "csv"]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "delta,theory,mc_mean,mc_stderr,z,verdict"
         assert len(lines) == 3

@@ -9,13 +9,13 @@ from insider_lab.brownian import (
     BrownianPath,
     GridError,
     TimeGrid,
-    dump_path_csv,
     mix_seed,
     sample_path,
     union_grid,
     union_grids,
     value_at,
 )
+from insider_lab.cli import main
 from insider_lab.schedules import (
     AffineBelowSchedule,
     ConstantSchedule,
@@ -160,13 +160,13 @@ class TestSampling:
         assert np.all(np.abs(off_diag) < 0.02)
 
     def test_dump_csv(self, tmp_path):
-        g = TimeGrid(points=np.array([0.0, 0.5, 1.0]), max_horizon=1.0)
-        p = sample_path(g, 5)
+        g = union_grid(256, ConstantSchedule(value=1.0, horizon=1.0), 0.0)
         target = tmp_path / "path.csv"
-        dump_path_csv(p, target)
+        assert main(["simulate", "--schedule", "const:1", "--paths", "200",
+                     "--base-points", "256", "--dump-path", str(target)]) == 0
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "t,B"
-        assert len(lines) == 4
+        assert len(lines) == 1 + len(g.points)
         assert float(lines[1].split(",")[1]) == 0.0
 
 

@@ -231,6 +231,50 @@ class TestDiagnostics:
         assert payload["verdict"] == "Pass"
 
 
+_SMALL = ["--schedule", "const:1", "--paths", "200", "--base-points", "256"]
+_REPORT_HEADER = ["delta", "theory", "mc_mean", "mc_stderr", "z", "verdict"]
+
+# command -> (arguments, JSON key holding its records or None for one
+# record, CSV header, number of records)
+_LAYOUTS = {
+    "viability": (["--schedule", "powerlaw:q=0.5"], None,
+                  ["schedule", "horizon", "classification", "integral", "method"], 1),
+    "simulate": (_SMALL, None,
+                 ["config_digest", "mean", "stderr", "ci_lo", "ci_hi", "n_paths",
+                  "wall_time_s"], 1),
+    "compare": (_SMALL, "report", _REPORT_HEADER, 1),
+    "sweep": ([*_SMALL, "--deltas", "1e-1,1e-2"], "reports", _REPORT_HEADER, 2),
+    "refine": ([*_SMALL, "--levels", "2", "--factor", "2"], "levels",
+               ["base_points", "mean", "stderr", "theory", "abs_gap"], 2),
+    "duality": (["--kind", "terminal_value", "--paths", "200", "--base-points", "64"],
+                None, ["kind", "analytic", "mean", "stderr", "z", "verdict"], 1),
+    "donsker-table": (["--eps1", "0.25", "--eps2", "1", "--points", "3"], "rows",
+                      ["y1", "y2", "density", "derivative", "ratio"], 9),
+    "drift-check": (["--ratios", "0.5,2", "--paths", "200"], "rows",
+                    ["kind", "h_over_eps", "slope", "stderr", "expected", "z",
+                     "verdict"], 2),
+}
+
+
+class TestOutputLayout:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", list(_LAYOUTS))
+    def test_every_command_writes_its_layout(self, tmp_path, command, fmt):
+        argv, key, header, n_rows = _LAYOUTS[command]
+        out = tmp_path / f"out.{fmt}"
+        proc = run_cli(command, *argv, "--output", str(out), "--format", fmt)
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "json":
+            payload = load_payload(out)
+            assert payload["command"] == command
+            records = payload[key] if key else payload
+            assert (len(records) if isinstance(records, list) else 1) == n_rows
+        else:
+            rows = list(csv.reader(out.open()))
+            assert rows[0] == header
+            assert len(rows) == 1 + n_rows
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_an_error(self, tmp_path):
         cfg_file = tmp_path / "bad.json"

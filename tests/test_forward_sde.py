@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from insider_lab.brownian import BrownianPath, TimeGrid, mix_seed, sample_path, union_grid
+from insider_lab.cli import main
 from insider_lab.forward_sde import (
     ForwardError,
     LogWealthSample,
@@ -13,6 +14,7 @@ from insider_lab.forward_sde import (
     log_wealth,
     log_wealth_matrix,
     wealth_plan,
+    wealth_trace,
 )
 from insider_lab.schedules import ConstantSchedule, PowerLawSchedule
 from insider_lab.strategy import (
@@ -257,6 +259,19 @@ class TestMatrixConsistency:
                               antithetic=True)
         assert info.value.row == 1
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("strategy", ["honest", "insider"])
+    def test_non_finite_total_names_row(self, strategy, antithetic):
+        # every fraction stays finite: the NaN only reaches row 1's total
+        sched = ConstantSchedule(value=0.4, horizon=1.0)
+        strat = HonestStrategy() if strategy == "honest" else InsiderStrategy(schedule=sched)
+        grid = union_grid(base_points=64, schedule=sched, delta=0.0)
+        block = np.zeros((3, len(grid.points)))
+        block[1, grid.base_indices[-1]] = np.nan
+        with pytest.raises(ForwardError, match="row 1") as info:
+            log_wealth_matrix(RIG, strat, grid, block, 0.0, antithetic=antithetic)
+        assert info.value.row == 1
+
     def test_non_finite_fraction_names_row(self):
         sched = ConstantSchedule(value=0.4, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=0.0)
@@ -339,17 +354,36 @@ class TestTruncationRule:
             log_wealth(RIG, HonestStrategy(), path, delta=1.5)
 
 
+def _cli_wealth_dump(tmp_path, *flags):
+    out = tmp_path / "wealth.csv"
+    assert main(["simulate", "--schedule", "const:1", "--paths", "200",
+                 "--base-points", "256", *flags, "--dump-wealth", str(out)]) == 0
+    return out.read_text().strip().splitlines()
+
+
 class TestWealthDump:
     def test_csv_columns_and_final_row(self, tmp_path):
-        from insider_lab.forward_sde import dump_wealth_csv
-
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=32, schedule=sched, delta=0.0)
         path = sample_path(grid, seed=4)
-        out = tmp_path / "wealth.csv"
-        dump_wealth_csv(RIG, HonestStrategy(), path, 0.0, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,pi,log_wealth"
-        final = float(lines[-1].split(",")[2])
+        t, pi, running = wealth_trace(RIG, HonestStrategy(), path, 0.0)
         sample = log_wealth(RIG, HonestStrategy(), path, delta=0.0)
-        assert final == pytest.approx(sample.log_wealth, rel=1e-10)
+        assert running[-1] == pytest.approx(sample.log_wealth, rel=1e-10)
+        assert len(t) == len(pi) == len(running) == len(grid.base_indices) - 1
+        # the CLI writes the trace of the run's first path
+        lines = _cli_wealth_dump(tmp_path, "--strategy", "merton")
+        assert lines[0] == "t,pi,log_wealth"
+        first = sample_path(union_grid(256, sched, 0.0), mix_seed(42, 0))
+        final = float(lines[-1].split(",")[2])
+        assert final == pytest.approx(log_wealth(RIG, HonestStrategy(), first, 0.0).log_wealth,
+                                      rel=1e-10)
+
+    def test_trace_starts_from_log_x0(self, tmp_path):
+        sched = ConstantSchedule(value=1.0, horizon=1.0)
+        market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
+        path = sample_path(union_grid(256, sched, 0.0), mix_seed(4, 0))
+        sample = log_wealth(market, InsiderStrategy(schedule=sched), path, delta=0.0)
+        lines = _cli_wealth_dump(tmp_path, "--x0", "2", "--seed", "4")
+        assert float(lines[-1].split(",")[2]) == pytest.approx(sample.log_wealth, rel=1e-10)
+        _, _, running = wealth_trace(market, InsiderStrategy(schedule=sched), path, 0.0)
+        assert running[-1] == pytest.approx(sample.log_wealth, rel=1e-10)

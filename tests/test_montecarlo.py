@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import insider_lab.forward_sde as fsde
 import insider_lab.montecarlo as mc
 from insider_lab.brownian import mix_seed, union_grid, union_grids
 from insider_lab.config import config_digest, to_dict as config_dict
@@ -274,6 +275,25 @@ class TestFailurePropagation:
         with pytest.raises(BatchAbort, match=f"seed {mix_seed(42, 1)} \\(unit 1\\)"):
             estimate_log_utility(insider_config(n_paths=400, base_points=512))
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("make_config", [honest_config, insider_config])
+    def test_non_finite_total_aborts_with_seed(self, monkeypatch, make_config, antithetic):
+        # a NaN at the right end of the last base step leaves every fraction
+        # finite; only the row's total shows it, and it must name the path
+        cfg = make_config(n_paths=400, base_points=512, antithetic=antithetic)
+        last = union_grid(cfg.base_points, cfg.schedule, cfg.delta).base_indices[-1]
+        draw = mc._normal_block
+
+        def poisoned(seeds, sqrt_gaps):
+            values = draw(seeds, sqrt_gaps)
+            if seeds[0] == mix_seed(42, 0):
+                values[1, last] = np.nan
+            return values
+
+        monkeypatch.setattr(mc, "_normal_block", poisoned)
+        with pytest.raises(BatchAbort, match=f"seed {mix_seed(42, 1)} \\(unit 1\\)"):
+            estimate_log_utility(cfg)
+
 
 class TestKernelHook:
     """The kernel is reached through the module attribute the benchmark's
@@ -311,6 +331,37 @@ class TestKernelHook:
         assert len(calls) == 2 * chunks
         assert all(v.ndim == 2 and v.shape[1] == points for v in calls)
         assert sum(v.shape[0] for v in calls) == 2 * 200
+
+
+class TestPlanReuse:
+    """Each grid's WealthPlan is built once and shared by the truncation
+    check, the closed-form mean and the kernel."""
+
+    def count_plans(self, monkeypatch, run):
+        calls = []
+        build = fsde.wealth_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fsde, "wealth_plan", counting)
+        monkeypatch.setattr(mc, "wealth_plan", counting)
+        run()
+        return calls
+
+    @pytest.mark.parametrize("make_config", [honest_config, insider_config])
+    def test_estimate_builds_one_plan(self, monkeypatch, make_config):
+        cfg = make_config(n_paths=400, base_points=512)
+        calls = self.count_plans(monkeypatch, lambda: estimate_log_utility(cfg, threads=1))
+        assert len(calls) == 1
+
+    def test_refine_builds_one_plan_per_level(self, monkeypatch):
+        cfg = insider_config(n_paths=400, base_points=512)
+        calls = self.count_plans(monkeypatch,
+                                 lambda: refinement_study(cfg, levels=2, threads=1))
+        assert len(calls) == 2
+        assert calls[0] is not calls[1]
 
 
 class TestCiCalibration:
