@@ -228,14 +228,28 @@ def _wealth_terms(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
     return increments, pis
 
 
-# The per-step terms of log wealth, one helper each, so that the row-sum
-# kernel reduces one (rows x steps) array before it builds the next.
-def _step_gain(plan: WealthPlan, pi: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    return pi * plan.beta * increments
+# The per-step terms of log wealth, one helper each, written into
+# caller-owned (rows x steps) buffers so that the row-sum kernel reuses two
+# blocks for both sides of a pair.  The operation order is fixed: it sets
+# the bits of every sum.
+def _step_gain(plan: WealthPlan, pi: np.ndarray, increments: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """pi*beta*dB per step, in ``out``."""
+    np.multiply(pi, plan.beta, out=out)
+    out *= increments
+    return out
 
 
-def _step_drift(plan: WealthPlan, pi: np.ndarray) -> np.ndarray:
-    return (pi * plan.alpha - 0.5 * pi**2 * plan.beta**2) * plan.dt
+def _step_drift(plan: WealthPlan, pi: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """(pi*alpha - pi^2 beta^2/2)*dt per step, in ``out``; overwrites ``scratch``."""
+    np.multiply(pi, plan.alpha, out=out)
+    np.square(pi, out=scratch)
+    scratch *= 0.5
+    scratch *= plan.beta**2
+    out -= scratch
+    out *= plan.dt
+    return out
 
 
 def _insider_pairs(plan: WealthPlan, values: np.ndarray):
@@ -282,12 +296,13 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
     if antithetic and pi_cap is None and plan.anchors is not None:
         return _checked(*_insider_pairs(plan, values))
     increments, pis = _wealth_terms(plan, values, pi_cap, antithetic)
+    gain, drift_steps = np.empty_like(increments), np.empty_like(increments)
     sides = []
     for pi, sign in zip(pis, (1.0, -1.0)):
         # rounding is odd-symmetric, so negating the sum negates every term;
         # log x0 sits in the drift part so the decomposition stays exact
-        stochastic = sign * np.sum(_step_gain(plan, pi, increments), axis=1)
-        drift = np.sum(_step_drift(plan, pi), axis=1) + plan.log_x0
+        stochastic = sign * np.sum(_step_gain(plan, pi, increments, gain), axis=1)
+        drift = np.sum(_step_drift(plan, pi, drift_steps, gain), axis=1) + plan.log_x0
         sides.append((stochastic + drift, stochastic, drift))
     rows = sides[0] if len(sides) == 1 else [0.5 * (p + m) for p, m in zip(*sides)]
     return _checked(*rows)
@@ -315,5 +330,6 @@ def wealth_trace(market: MarketCoefficients, strategy: Strategy, path: BrownianP
     left end, the fraction held over it and the log wealth at its right end."""
     plan = wealth_plan(market, strategy, path.grid, delta)
     increments, (pi,) = _wealth_terms(plan, path.values[None, :], None)
-    steps = _step_gain(plan, pi[0], increments[0]) + _step_drift(plan, pi[0])
-    return plan.t_left, pi[0], plan.log_x0 + np.cumsum(steps)
+    steps = _step_gain(plan, pi, increments, np.empty_like(pi))
+    steps += _step_drift(plan, pi, np.empty_like(pi), increments)
+    return plan.t_left, pi[0], plan.log_x0 + np.cumsum(steps[0])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import insider_lab.forward_sde as fsde
 import insider_lab.montecarlo as mc
-from insider_lab.brownian import mix_seed, union_grid, union_grids
+from insider_lab.brownian import mix_seed, sample_path, union_grid, union_grids
 from insider_lab.config import config_digest, to_dict as config_dict
 from insider_lab.forward_sde import ForwardError, check_truncation
 from insider_lab.montecarlo import (
@@ -231,6 +232,52 @@ class TestDeterminism:
         fine = estimate_log_utility(cfg)
         assert coarse.mean == fine.mean
         assert coarse.stderr == fine.stderr
+
+    @pytest.mark.parametrize("run", [
+        lambda: estimate_log_utility(insider_config(n_paths=400, base_points=512, pi_cap=3.0)),
+        lambda: estimate_log_utility(honest_config(antithetic=False)),
+        lambda: refinement_study(insider_config(n_paths=400, base_points=512), levels=2),
+        lambda: duality_check("constant_lookahead", T=1.0, n_paths=400, base_points=512,
+                              seed=3, eps=0.5),
+        lambda: duality_check("terminal_value", T=1.0, n_paths=400, base_points=512, seed=5),
+    ], ids=["pi_cap", "honest", "refine", "duality_lookahead", "duality_terminal"])
+    def test_chunk_size_does_not_change_bits_on_every_path(self, monkeypatch, run):
+        # the default budget runs each in one or two chunks; the smaller
+        # targets split them into chunks of 6-64 rows and of 1-8 rows
+        results = [run()]
+        for target in (1 << 15, 1 << 12):
+            monkeypatch.setattr(mc, "_CHUNK_TARGET", target)
+            results.append(run())
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("pi_cap, step_blocks", [(None, 3), (1e6, 5)])
+    def test_traced_peak_within_chunk_budget(self, pi_cap, step_blocks):
+        # On the rig grid (8192 points, 4095 base steps) a thread's chunk
+        # holds one values block of the budget's size and step blocks of half
+        # its width: three for the closed-form pairs, five for the two-pass
+        # kernel.  A quarter block per thread covers the grid and the plan.
+        cfg = insider_config(n_paths=512, base_points=4096, pi_cap=pi_cap)
+        points = len(union_grid(cfg.base_points, cfg.schedule, cfg.delta).points)
+        assert points == 8192 and 256 // mc._chunk_units(points) >= 4
+        threads = 2
+        budget = mc._CHUNK_TARGET * 8 * threads
+        tracemalloc.start()
+        try:
+            estimate_log_utility(cfg, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1.25 + 0.5 * step_blocks) * budget
+
+    def test_dump_sampler_matches_chunk_sampler(self):
+        # --dump-path draws the run's first path with sample_path; it must be
+        # row 0 of the block the estimate drew
+        grid = union_grid(4096, PowerLawSchedule(exponent=0.5, horizon=1.0), 1e-3)
+        sqrt_gaps = np.sqrt(np.diff(grid.points))
+        for s in (42, 7):
+            seed = mix_seed(s, 0)
+            row = mc._normal_block([seed], sqrt_gaps)[0]
+            assert np.array_equal(sample_path(grid, seed).values, row)
 
     def test_seed_changes_result(self):
         cfg = insider_config(n_paths=400, base_points=512)
