@@ -19,7 +19,7 @@ over the base sub-grid up to the truncated horizon T' = T - delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,8 +137,10 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeG
 class WealthPlan:
     """What the log-wealth kernels read from one (market, strategy, grid,
     delta), evaluated once per grid: base-step indices, left-end values,
-    log x0, and for the insider the anchors, eps, 1/eps and ``const``, the
-    pair average's deterministic part sum (alpha/beta)^2 dt/2 + log x0."""
+    log x0 and ``const``, the deterministic part of a row's log wealth.
+    A deterministic fraction pi also carries pi*beta, and ``const`` is its
+    drift sum plus log x0.  The insider carries the anchors, eps and 1/eps,
+    and ``const`` is its pair average's sum (alpha/beta)^2 dt/2 + log x0."""
 
     left: np.ndarray
     right: np.ndarray
@@ -149,6 +151,7 @@ class WealthPlan:
     beta: np.ndarray
     pi: np.ndarray
     log_x0: float
+    pi_beta: np.ndarray | None = None
     anchors: np.ndarray | None = None
     eps: np.ndarray | None = None
     inv_eps: np.ndarray | None = None
@@ -178,7 +181,7 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
                   alpha=alpha, beta=beta, log_x0=log_x0)
     if isinstance(strategy, (HonestStrategy, TableStrategy)):
         pi = honest if isinstance(strategy, HonestStrategy) else strategy.fraction(t_left)
-        return WealthPlan(pi=pi, **common)
+        return _with_fraction(WealthPlan(pi=pi, **common), pi)
     if not isinstance(strategy, InsiderStrategy):
         raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
     if grid.anchor_indices is None:
@@ -189,6 +192,23 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
     anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
     return WealthPlan(pi=honest, anchors=anchors, eps=eps, inv_eps=1.0 / eps,
                       const=const, **common)
+
+
+def _with_fraction(plan: WealthPlan, pi: np.ndarray) -> WealthPlan:
+    """``plan`` holding the deterministic fraction pi, with its pi*beta and
+    its drift sum plus log x0."""
+    drift = _step_drift(plan, pi, np.empty_like(pi), np.empty_like(pi))
+    return replace(plan, pi=pi, pi_beta=pi * plan.beta,
+                   const=float(np.sum(drift) + plan.log_x0))
+
+
+def kernel_scratch(plan: WealthPlan, pi_cap: float | None = None,
+                   antithetic: bool = False) -> int:
+    """Doubles per path row of the step blocks log_wealth_matrix gathers
+    into: two for a deterministic fraction, three for the insider's
+    closed-form pairs and five for its two-pass kernel."""
+    blocks = 2 if plan.anchors is None else 3 if antithetic and pi_cap is None else 5
+    return blocks * plan.left.size
 
 
 def _checked(total: np.ndarray, stochastic: np.ndarray, drift: np.ndarray):
@@ -202,26 +222,37 @@ def _checked(total: np.ndarray, stochastic: np.ndarray, drift: np.ndarray):
     return total, stochastic, drift
 
 
-def _wealth_terms(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
-                  antithetic: bool = False):
-    """Increments and a list of pi on the base sub-grid: pi along ``values``
-    and, with antithetic, along ``-values``."""
-    # take() gathers into C layout, which keeps the later row sums
-    # independent of how many rows ride along
-    pi = np.take(values, plan.left, axis=1)
-    increments = np.take(values, plan.right, axis=1)
-    increments -= pi
-    if plan.anchors is not None:
-        correction = np.take(values, plan.anchors, axis=1)
-        np.subtract(pi, correction, out=correction)
-        correction /= plan.beta * plan.eps
-        pis = [np.subtract(plan.pi, correction, out=pi)]
-        if antithetic:
-            # negating the path negates the correction exactly
-            pis.append(np.add(plan.pi, correction, out=correction))
-    else:
-        pi[...] = plan.pi
-        pis = [pi] * (1 + antithetic)
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[:, index] in ``out``.  With mode="clip" take() writes straight
+    into ``out``; the default mode buffers a whole block first.  The block is
+    C-ordered, which keeps the later row sums independent of how many rows
+    ride along."""
+    return np.take(values, index, axis=1, out=out, mode="clip")
+
+
+def _increments(plan: WealthPlan, values: np.ndarray, out: np.ndarray,
+                left: np.ndarray) -> np.ndarray:
+    """dB per base step in ``out``; ``left`` keeps B at each step's left end."""
+    _gather(values, plan.left, left)
+    _gather(values, plan.right, out)
+    out -= left
+    return out
+
+
+def _insider_fractions(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
+                       antithetic: bool, blocks: np.ndarray):
+    """Increments and a list of the insider's pi on the base sub-grid, in the
+    first three of ``blocks``: pi along ``values`` and, with antithetic,
+    along ``-values``."""
+    pi, increments, correction = blocks[:3]
+    _increments(plan, values, increments, pi)
+    _gather(values, plan.anchors, correction)
+    np.subtract(pi, correction, out=correction)
+    correction /= plan.beta * plan.eps
+    pis = [np.subtract(plan.pi, correction, out=pi)]
+    if antithetic:
+        # negating the path negates the correction exactly
+        pis.append(np.add(plan.pi, correction, out=correction))
     if pi_cap is not None:
         for pi in pis:
             np.clip(pi, -pi_cap, pi_cap, out=pi)
@@ -229,9 +260,9 @@ def _wealth_terms(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
 
 
 # The per-step terms of log wealth, one helper each, written into
-# caller-owned (rows x steps) buffers so that the row-sum kernel reuses two
-# blocks for both sides of a pair.  The operation order is fixed: it sets
-# the bits of every sum.
+# caller-owned buffers so that the row-sum kernel reuses two blocks for both
+# sides of a pair.  The operation order is fixed: it sets the bits of every
+# sum.
 def _step_gain(plan: WealthPlan, pi: np.ndarray, increments: np.ndarray,
                out: np.ndarray) -> np.ndarray:
     """pi*beta*dB per step, in ``out``."""
@@ -252,19 +283,18 @@ def _step_drift(plan: WealthPlan, pi: np.ndarray, out: np.ndarray,
     return out
 
 
-def _insider_pairs(plan: WealthPlan, values: np.ndarray):
+def _insider_pairs(plan: WealthPlan, values: np.ndarray, blocks: np.ndarray):
     """(total, stochastic, drift) of the insider's antithetic pair averages.
 
     With r = (B(anchor) - B(t))/eps a pair averages to const + sum r*dB -
     sum r^2 dt/2: the drift term linear in r cancels, as alpha equals
     (alpha/beta^2)*beta^2, and the honest beta*dB term is odd in the path.
     """
-    left = np.take(values, plan.left, axis=1)
-    r = np.take(values, plan.anchors, axis=1)
-    gain = np.take(values, plan.right, axis=1)
-    np.subtract(r, left, out=r)
+    left, r, gain = blocks[:3]
+    _increments(plan, values, gain, left)
+    _gather(values, plan.anchors, r)
+    r -= left
     r *= plan.inv_eps
-    np.subtract(gain, left, out=gain)
     gain *= r
     penalty = np.multiply(r, r, out=left)
     penalty *= plan.half_dt
@@ -275,7 +305,8 @@ def _insider_pairs(plan: WealthPlan, values: np.ndarray):
 
 def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
                       values: np.ndarray, delta: float, pi_cap: float | None = None,
-                      antithetic: bool = False, *, plan: WealthPlan | None = None):
+                      antithetic: bool = False, *, plan: WealthPlan | None = None,
+                      scratch: np.ndarray | None = None):
     """Vectorized log wealth for a block of paths.
 
     ``values`` has one row per path, aligned with ``grid.points``.
@@ -284,26 +315,46 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
     ``values`` and ``-values``, bit for bit except for the uncapped
     insider's closed-form pairs.  Raises ForwardError naming the first
     row whose log wealth is not finite.  ``plan`` defaults to
-    wealth_plan(market, strategy, grid, delta).  Callers run
+    wealth_plan(market, strategy, grid, delta).  ``scratch`` is a flat
+    float array of at least rows * kernel_scratch(plan, pi_cap, antithetic)
+    doubles that the step blocks are gathered into; it defaults to a fresh
+    one, and no returned array shares its memory.  Callers run
     check_truncation.
     """
     if plan is None:
         plan = wealth_plan(market, strategy, grid, delta)
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    # Only the uncapped insider's pairs take the closed form: clipping is
-    # not odd-symmetric, and honest or table pairs would collapse to an
-    # exact constant whose zero standard error makes every z infinite.
-    if antithetic and pi_cap is None and plan.anchors is not None:
-        return _checked(*_insider_pairs(plan, values))
-    increments, pis = _wealth_terms(plan, values, pi_cap, antithetic)
-    gain, drift_steps = np.empty_like(increments), np.empty_like(increments)
-    sides = []
-    for pi, sign in zip(pis, (1.0, -1.0)):
-        # rounding is odd-symmetric, so negating the sum negates every term;
-        # log x0 sits in the drift part so the decomposition stays exact
-        stochastic = sign * np.sum(_step_gain(plan, pi, increments, gain), axis=1)
-        drift = np.sum(_step_drift(plan, pi, drift_steps, gain), axis=1) + plan.log_x0
-        sides.append((stochastic + drift, stochastic, drift))
+    size = len(values) * kernel_scratch(plan, pi_cap, antithetic)
+    if scratch is None:
+        scratch = np.empty(size)
+    blocks = scratch[:size].reshape(-1, len(values), plan.left.size)
+    if plan.anchors is None:
+        # a deterministic fraction: the gain sums dB*(pi*beta), and the
+        # drift is the plan's constant, the same along values and -values
+        if pi_cap is not None:
+            plan = _with_fraction(plan, np.clip(plan.pi, -pi_cap, pi_cap))
+        gain = _increments(plan, values, blocks[0], blocks[1])
+        gain *= plan.pi_beta
+        stochastic = np.sum(gain, axis=1)
+        drift = np.full(len(values), plan.const)
+        sides = [(stochastic, drift), (-stochastic, drift)][: 1 + antithetic]
+    elif antithetic and pi_cap is None:
+        # Only the uncapped insider's pairs take the closed form: clipping is
+        # not odd-symmetric, and honest or table pairs would collapse to an
+        # exact constant whose zero standard error makes every z infinite.
+        return _checked(*_insider_pairs(plan, values, blocks))
+    else:
+        increments, pis = _insider_fractions(plan, values, pi_cap, antithetic, blocks)
+        gain, drift_steps = blocks[3], blocks[4]
+        sides = []
+        for pi, sign in zip(pis, (1.0, -1.0)):
+            # rounding is odd-symmetric, so negating the sum negates every
+            # term; log x0 sits in the drift part so the decomposition stays
+            # exact
+            stochastic = sign * np.sum(_step_gain(plan, pi, increments, gain), axis=1)
+            drift = np.sum(_step_drift(plan, pi, drift_steps, gain), axis=1) + plan.log_x0
+            sides.append((stochastic, drift))
+    sides = [(stochastic + drift, stochastic, drift) for stochastic, drift in sides]
     rows = sides[0] if len(sides) == 1 else [0.5 * (p + m) for p, m in zip(*sides)]
     return _checked(*rows)
 
@@ -329,7 +380,12 @@ def wealth_trace(market: MarketCoefficients, strategy: Strategy, path: BrownianP
     """(t, pi, running log wealth) along one path: for each base step, its
     left end, the fraction held over it and the log wealth at its right end."""
     plan = wealth_plan(market, strategy, path.grid, delta)
-    increments, (pi,) = _wealth_terms(plan, path.values[None, :], None)
-    steps = _step_gain(plan, pi, increments, np.empty_like(pi))
-    steps += _step_drift(plan, pi, np.empty_like(pi), increments)
-    return plan.t_left, pi[0], plan.log_x0 + np.cumsum(steps[0])
+    values = path.values[None, :]
+    blocks = np.empty((5, 1, plan.left.size))
+    if plan.anchors is None:
+        pi, increments = plan.pi, _increments(plan, values, blocks[1], blocks[0])
+    else:
+        increments, (pi,) = _insider_fractions(plan, values, None, False, blocks)
+    steps = _step_gain(plan, pi, increments, blocks[3])
+    steps += _step_drift(plan, pi, blocks[4], increments)
+    return plan.t_left, np.ravel(pi), plan.log_x0 + np.cumsum(steps[0])

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from insider_lab.brownian import TimeGrid, mix_seed, union_grid, union_grids
 from insider_lab.config import ExperimentConfig, MonteCarloError, config_digest
@@ -25,16 +27,20 @@ from insider_lab.forward_sde import (
     ForwardError,
     WealthPlan,
     check_truncation,
+    kernel_scratch,
     log_wealth_matrix,
     wealth_plan,
 )
 from insider_lab.schedules import ConstantSchedule
 from insider_lab.strategy import MarketCoefficients, Strategy, TableStrategy
 
-# target size of one simulation block, in doubles: 4 MiB of path values,
-# so that a block and the few step blocks its kernel gathers stay near
-# the size of an L2 cache and peak memory stays flat as grids grow
-_CHUNK_TARGET = 1 << 19
+# target size of one chunk's block of path values, in doubles (1.5 MiB).
+# Each worker thread draws and reduces every chunk of a run inside one
+# workspace, allocated once: this values block plus the step blocks its
+# kernel gathers into, two to five of them, each one base step wide (about
+# half the block's width on the rig grid).  The budget keeps a worker's
+# working set near a 2 MiB per-core L2 and peak memory flat as grids grow.
+_CHUNK_TARGET = 3 << 16
 
 
 class BatchAbort(MonteCarloError):
@@ -84,13 +90,15 @@ def _chunk_units(n_grid_points: int) -> int:
     return max(1, min(512, _CHUNK_TARGET // max(1, n_grid_points)))
 
 
-def _normal_block(seeds, sqrt_gaps: np.ndarray) -> np.ndarray:
-    """Brownian values for one chunk, row k driven by seeds[k]."""
-    values = np.empty((len(seeds), sqrt_gaps.size + 1))
+def _normal_block(seeds, sqrt_gaps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Brownian values for one chunk, row k driven by seeds[k], written
+    into ``out`` (len(seeds) rows) or a fresh block."""
+    values = np.empty((len(seeds), sqrt_gaps.size + 1)) if out is None else out
     values[:, 0] = 0.0
     steps = values[:, 1:]
     for i, s in enumerate(seeds):
-        np.random.default_rng(s).standard_normal(out=steps[i])
+        # the generator default_rng(s) returns, built without its type checks
+        Generator(PCG64(s)).standard_normal(out=steps[i])
     np.multiply(steps, sqrt_gaps, out=steps)
     np.cumsum(steps, axis=1, out=steps)
     return values
@@ -103,25 +111,34 @@ def _map_in_order(work, items, threads: int):
         return list(pool.map(work, items))
 
 
-def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int) -> np.ndarray:
+def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int,
+                scratch: int = 0) -> np.ndarray:
     """Apply fn to the Brownian values of every chunk of units, in unit order.
 
     Unit k is driven by the generator seeded with mix_seed(seed, k) and
     sampled at ``points``.  fn maps a (rows, points) block of path values
-    to an array whose last axis runs over those rows; the chunk results
-    are concatenated along it.  A ForwardError aborts the whole batch,
-    naming the failing path's seed and unit when the error carries a row.
+    and a flat scratch of ``scratch`` doubles per row to an array whose
+    last axis runs over those rows; the chunk results are concatenated
+    along it.  Each worker thread allocates one workspace, the values block
+    and the scratch, on its first chunk and reuses it for every later one,
+    so fn's result must not share memory with either.  A ForwardError
+    aborts the whole batch, naming the failing path's seed and unit when
+    the error carries a row.
     """
     sqrt_gaps = np.sqrt(np.diff(points))
-    chunk = _chunk_units(len(points))
+    chunk = min(_chunk_units(len(points)), units)
     bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
+    workspace = threading.local()
 
     def run_chunk(span):
         lo, hi = span
+        if not hasattr(workspace, "values"):
+            workspace.values = np.empty((chunk, len(points)))
+            workspace.scratch = np.empty(chunk * scratch)
         seeds = [mix_seed(seed, k) for k in range(lo, hi)]
-        values = _normal_block(seeds, sqrt_gaps)
+        values = _normal_block(seeds, sqrt_gaps, workspace.values[: hi - lo])
         try:
-            return fn(values)
+            return fn(values, workspace.scratch[: (hi - lo) * scratch])
         except ForwardError as exc:
             row = getattr(exc, "row", None)
             where = "" if row is None else (
@@ -132,10 +149,11 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int) -> 
 
 
 def _antithetic_log_wealth(cfg: ExperimentConfig, grid: TimeGrid, plan: WealthPlan,
-                           values: np.ndarray):
+                           values: np.ndarray, scratch: np.ndarray):
     """Log wealth of every row, averaged with its negated path when pairing is on."""
     return log_wealth_matrix(cfg.market, cfg.strategy, grid, values, cfg.delta,
-                             pi_cap=cfg.pi_cap, antithetic=cfg.antithetic, plan=plan)[0]
+                             pi_cap=cfg.pi_cap, antithetic=cfg.antithetic, plan=plan,
+                             scratch=scratch)[0]
 
 
 def _estimate_from_sample(sample: np.ndarray) -> McEstimate:
@@ -158,7 +176,8 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     check_truncation(cfg.market, cfg.strategy, grid, cfg.delta, plan=plan)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     sample = _run_chunks(units, cfg.master_seed, grid.points,
-                         lambda v: _antithetic_log_wealth(cfg, grid, plan, v), threads)
+                         lambda v, s: _antithetic_log_wealth(cfg, grid, plan, v, s), threads,
+                         kernel_scratch(plan, cfg.pi_cap, cfg.antithetic))
     return _estimate_from_sample(sample)
 
 
@@ -233,13 +252,17 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
                for g, p in zip(grids, plans)]
     center_avg = float(np.mean(centers))
 
-    def run_chunk(values):
-        per_level = [_antithetic_log_wealth(cfg, g, p, values) for g, p in zip(grids, plans)]
+    def run_chunk(values, scratch):
+        # every level's kernel views the same flat scratch in turn
+        per_level = [_antithetic_log_wealth(cfg, g, p, values, scratch)
+                     for g, p in zip(grids, plans)]
         control = np.mean(per_level, axis=0) - center_avg
         return np.stack([x - control for x in per_level])
 
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    stacked = _run_chunks(units, cfg.master_seed, grids[0].points, run_chunk, threads)
+    per_row = max(kernel_scratch(p, cfg.pi_cap, cfg.antithetic) for p in plans)
+    stacked = _run_chunks(units, cfg.master_seed, grids[0].points, run_chunk, threads,
+                          per_row)
     return [
         RefinementLevel(base_points=n, estimate=_estimate_from_sample(stacked[j]))
         for j, n in enumerate(sizes)
@@ -273,11 +296,13 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
         sub = np.asarray(grid.base_indices, dtype=np.int64)
         left, right = sub[:-1], sub[1:]
         anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
+        per_row = 2 * left.size
         analytic = T
     elif canon in ("terminal_value", "adapted_one"):
         if eps is not None:
             raise MonteCarloError(f"kind {canon!r} takes no eps")
         grid = TimeGrid(points=np.linspace(0.0, T, base_points), max_horizon=T)
+        per_row = base_points - 1 if canon == "terminal_value" else 0
         analytic = T if canon == "terminal_value" else 0.0
     else:
         raise MonteCarloError(
@@ -285,21 +310,24 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
             "terminal_value or adapted_one"
         )
 
-    def run_chunk(values):
+    def run_chunk(values, scratch):
         if canon == "constant_lookahead":
             # take() gathers into C layout, so the row sums do not depend
-            # on how many rows ride along
-            inc = np.take(values, right, axis=1)
-            inc -= np.take(values, left, axis=1)
-            inc *= np.take(values, anchors, axis=1)
+            # on how many rows ride along; mode="clip" writes straight
+            # into the scratch instead of buffering a block
+            inc, other = scratch.reshape(2, len(values), -1)
+            np.take(values, right, axis=1, out=inc, mode="clip")
+            inc -= np.take(values, left, axis=1, out=other, mode="clip")
+            inc *= np.take(values, anchors, axis=1, out=other, mode="clip")
             return np.sum(inc, axis=1)
         if canon == "terminal_value":
-            inc = np.diff(values, axis=1)
+            inc = scratch.reshape(len(values), -1)
+            np.subtract(values[:, 1:], values[:, :-1], out=inc)
             inc *= values[:, -1:]
             return np.sum(inc, axis=1)
         return values[:, -1] - values[:, 0]
 
-    sample = _run_chunks(n_paths, seed, grid.points, run_chunk, threads)
+    sample = _run_chunks(n_paths, seed, grid.points, run_chunk, threads, per_row)
     return _estimate_from_sample(sample), analytic
 
 

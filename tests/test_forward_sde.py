@@ -11,6 +11,7 @@ from insider_lab.forward_sde import (
     check_truncation,
     forward_integral,
     ito_integral,
+    kernel_scratch,
     log_wealth,
     log_wealth_matrix,
     wealth_plan,
@@ -234,6 +235,28 @@ class TestMatrixConsistency:
                 assert np.max(np.abs(avg - 0.5 * (p + m))) <= 1e-13
             else:
                 assert np.array_equal(avg, 0.5 * (p + m))
+
+    @pytest.mark.parametrize("strategy", ["honest", "insider", "table"])
+    @pytest.mark.parametrize("pi_cap", [None, 3.0])
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_caller_scratch_changes_no_bit_and_is_not_returned(self, strategy, pi_cap,
+                                                                antithetic):
+        # a reused scratch arrives holding the previous chunk's blocks
+        sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
+        strat = {"honest": HonestStrategy(), "insider": InsiderStrategy(schedule=sched),
+                 "table": TableStrategy(knots=((0.0, 1.0), (1.0, 4.0)))}[strategy]
+        grid = union_grid(base_points=256, schedule=sched, delta=0.1)
+        block = np.stack([sample_path(grid, seed=mix_seed(9, k)).values for k in range(5)])
+        plan = wealth_plan(RIG, strat, grid, 0.1)
+        scratch = np.full(5 * kernel_scratch(plan, pi_cap, antithetic), np.nan)
+        fresh = log_wealth_matrix(RIG, strat, grid, block, 0.1, pi_cap, antithetic, plan=plan)
+        for _ in range(2):
+            reused = log_wealth_matrix(RIG, strat, grid, block, 0.1, pi_cap, antithetic,
+                                       plan=plan, scratch=scratch)
+            for a, b in zip(fresh, reused):
+                assert np.array_equal(a, b)
+                assert not np.shares_memory(b, scratch)
+                assert not np.shares_memory(b, block)
 
     def test_pair_kernel_rows_are_independent(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)

@@ -279,6 +279,17 @@ class TestDeterminism:
             row = mc._normal_block([seed], sqrt_gaps)[0]
             assert np.array_equal(sample_path(grid, seed).values, row)
 
+    def test_per_row_generator_matches_default_rng(self):
+        # each row builds Generator(PCG64(s)) directly; it must draw the bits
+        # default_rng(s) draws, including at the edges of the seed range
+        sqrt_gaps = np.sqrt(np.diff(np.linspace(0.0, 1.0, 65)))
+        seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64 + 12345, mix_seed(42, 0)]
+        block = mc._normal_block(seeds, sqrt_gaps)
+        for row, s in zip(block, seeds):
+            steps = np.random.default_rng(s).standard_normal(sqrt_gaps.size) * sqrt_gaps
+            assert row[0] == 0.0
+            assert np.array_equal(row[1:], np.cumsum(steps))
+
     def test_seed_changes_result(self):
         cfg = insider_config(n_paths=400, base_points=512)
         other = insider_config(n_paths=400, base_points=512, master_seed=7)
@@ -312,8 +323,8 @@ class TestFailurePropagation:
         # planted in row 1 of the first chunk must still name that path
         draw = mc._normal_block
 
-        def poisoned(seeds, sqrt_gaps):
-            values = draw(seeds, sqrt_gaps)
+        def poisoned(seeds, sqrt_gaps, out):
+            values = draw(seeds, sqrt_gaps, out)
             if seeds[0] == mix_seed(42, 0):
                 values[1, 5] = np.nan
             return values
@@ -331,8 +342,8 @@ class TestFailurePropagation:
         last = union_grid(cfg.base_points, cfg.schedule, cfg.delta).base_indices[-1]
         draw = mc._normal_block
 
-        def poisoned(seeds, sqrt_gaps):
-            values = draw(seeds, sqrt_gaps)
+        def poisoned(seeds, sqrt_gaps, out):
+            values = draw(seeds, sqrt_gaps, out)
             if seeds[0] == mix_seed(42, 0):
                 values[1, last] = np.nan
             return values
@@ -378,6 +389,13 @@ class TestKernelHook:
         assert len(calls) == 2 * chunks
         assert all(v.ndim == 2 and v.shape[1] == points for v in calls)
         assert sum(v.shape[0] for v in calls) == 2 * 200
+
+    def test_chunks_reuse_one_workspace(self, monkeypatch):
+        # at one thread every chunk draws into the same values block
+        cfg = insider_config(n_paths=400, base_points=512)
+        calls = self.count_calls(monkeypatch, lambda: estimate_log_utility(cfg, threads=1))
+        assert len(calls) > 1
+        assert all(np.shares_memory(v, calls[0]) for v in calls)
 
 
 class TestPlanReuse:
