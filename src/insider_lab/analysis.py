@@ -137,17 +137,9 @@ class ComparisonReport:
 
 
 def compare(cfg: ExperimentConfig, abs_tol: float = DEFAULT_ABS_TOL,
-            threads: int | None = None,
-            theory_override: float | None = None) -> ComparisonReport:
-    """Run the estimator and grade it against the closed-form benchmark.
-
-    ``theory_override`` substitutes an arbitrary reference value; the
-    verdict logic is graded against whatever reference is in force.
-    """
-    if theory_override is not None:
-        theory = float(theory_override)
-    else:
-        theory = benchmark_value(cfg.market, cfg.schedule, cfg.strategy, cfg.delta)
+            threads: int | None = None) -> ComparisonReport:
+    """Run the estimator and grade it against the closed-form benchmark."""
+    theory = benchmark_value(cfg.market, cfg.schedule, cfg.strategy, cfg.delta)
     mc = estimate_log_utility(cfg, threads=threads)
     return ComparisonReport(theory=theory, mc=mc, delta=cfg.delta, abs_tol=abs_tol)
 

@@ -1,11 +1,12 @@
-"""Exact Brownian sampling on grids that carry every look-ahead anchor.
+"""Time grids that carry every look-ahead anchor, and per-path seeds.
 
 Insider strategies read the driving noise at t and at the anchor
 t + eps_t.  Both times must be actual grid points so path values are
 exact joint Gaussian draws; interpolating a Brownian path at off-grid
 times would silently change its law.  union_grid builds the grid:
 a uniform base grid with a ten-times-denser block next to the truncated
-horizon, merged with the anchor of every base point.
+horizon, merged with the anchor of every base point.  The paths
+themselves are drawn by montecarlo._normal_block, seeded by mix_seed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class GridError(ValueError):
-    """Malformed time grid or off-grid lookup."""
+    """Malformed time grid or path index."""
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -80,31 +81,6 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def index_of(self, t: float) -> int:
-        """Index of grid point equal to t within MERGE_TOL; error if absent."""
-        i = int(np.searchsorted(self.points, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.points) and abs(self.points[j] - t) <= MERGE_TOL:
-                return j
-        raise GridError(f"time {t!r} is not a grid point; refusing to interpolate")
-
-
-@dataclass(frozen=True)
-class BrownianPath:
-    """One sampled path: values[i] is the noise at grid.points[i]."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != self.grid.points.shape:
-            raise GridError("path values must align with the grid points")
-        if vals[0] != 0.0:
-            raise GridError("Brownian path must start at 0")
 
 
 def _base_points(base_points: int, horizon: float, delta: float) -> np.ndarray:
@@ -173,19 +149,3 @@ def union_grids(sizes, schedule: EpsilonSchedule, delta: float) -> list[TimeGrid
 def union_grid(base_points: int, schedule: EpsilonSchedule, delta: float) -> TimeGrid:
     """Base grid on [0, T - delta] merged with every anchor t_j + eps(t_j)."""
     return union_grids([base_points], schedule, delta)[0]
-
-
-def sample_path(grid: TimeGrid, seed: int) -> BrownianPath:
-    """Exact Brownian draw on the grid; deterministic in (grid, seed)."""
-    gaps = np.diff(grid.points)
-    increments = np.random.default_rng(seed).standard_normal(len(gaps)) * np.sqrt(gaps)
-    values = np.empty(len(grid.points))
-    values[0] = 0.0
-    np.cumsum(increments, out=values[1:])
-    return BrownianPath(grid=grid, values=values, seed=seed)
-
-
-def value_at(path: BrownianPath, t: float) -> float:
-    """Stored path value at grid time t; off-grid times are an error."""
-    return float(path.values[path.grid.index_of(t)])
-

@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from insider_lab import analysis
-from insider_lab.brownian import mix_seed, sample_path, union_grid
+from insider_lab.brownian import mix_seed, union_grid
 from insider_lab.config import (
     MARKET_DEFAULTS,
     STRATEGY_DEFAULT,
@@ -55,6 +55,7 @@ from insider_lab.donsker import (
 from insider_lab.forward_sde import wealth_trace
 from insider_lab.montecarlo import (
     BatchAbort,
+    _normal_block,
     bridge_drift_regression,
     duality_check,
     martingale_gap_check,
@@ -355,13 +356,15 @@ def _cmd_simulate(args):
     cfg = _build_config(args)
     result = run_experiment(cfg, threads=_threads_from(args))
     if args.dump_path or args.dump_wealth:
+        # the run's first path, drawn as the estimate drew it
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
-        path = sample_path(grid, mix_seed(cfg.master_seed, 0))
+        values = _normal_block([mix_seed(cfg.master_seed, 0)],
+                               np.sqrt(np.diff(grid.points)))[0]
         if args.dump_path:
-            _write_csv(args.dump_path, ["t", "B"], zip(grid.points, path.values))
+            _write_csv(args.dump_path, ["t", "B"], zip(grid.points, values))
         if args.dump_wealth:
             _write_csv(args.dump_wealth, ["t", "pi", "log_wealth"],
-                       zip(*wealth_trace(cfg.market, cfg.strategy, path, cfg.delta)))
+                       zip(*wealth_trace(cfg.market, cfg.strategy, grid, values, cfg.delta)))
     return _emit(args, {"command": "simulate", "config": to_dict(cfg), **result},
                  ["config_digest", "mean", "stderr", "ci_lo", "ci_hi", "n_paths",
                   "wall_time_s"],

@@ -82,13 +82,3 @@ def malliavin_ratio(base: float, y1: float, eps1: float) -> float:
     if not (math.isfinite(eps1) and eps1 > 0):
         raise DonskerError(f"eps1 must be positive, got {eps1!r}")
     return (y1 - base) / eps1
-
-
-def cond_delta_1d(base: float, y: float, eps: float) -> float:
-    """Conditional density of a single look-ahead value: N(base, eps) at y."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise DonskerError(f"eps must be positive, got {eps!r}")
-    log_d = -0.5 * (_LOG_TWO_PI + math.log(eps)) - (y - base) ** 2 / (2.0 * eps)
-    if log_d < _UNDERFLOW_LOG:
-        return 0.0
-    return math.exp(log_d)

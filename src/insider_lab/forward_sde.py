@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from insider_lab.brownian import BrownianPath, TimeGrid
+from insider_lab.brownian import TimeGrid
 from insider_lab.schedules import Classification, classify_viability
 from insider_lab.strategy import (
     HonestStrategy,
@@ -36,52 +36,6 @@ from insider_lab.strategy import (
 
 class ForwardError(ValueError):
     """Inconsistent integrand, grid or truncation parameters."""
-
-
-@dataclass(frozen=True)
-class LogWealthSample:
-    """Log wealth of one path at the truncated horizon.
-
-    ``log_wealth`` is stored as the float sum of the two parts, so the
-    decomposition identity is exact by construction, not approximately.
-    """
-
-    horizon: float
-    log_wealth: float
-    stochastic_part: float
-    drift_part: float
-
-    def __post_init__(self):
-        if self.log_wealth != self.stochastic_part + self.drift_part:
-            raise ForwardError("log_wealth must equal stochastic_part + drift_part exactly")
-
-
-def forward_integral(phi, path: BrownianPath, sub_indices) -> float:
-    """Left-endpoint Riemann sum of phi against the path increments.
-
-    ``phi`` holds the integrand at the left endpoint of every sub-grid
-    step, so its length must be one less than the number of sub-grid
-    nodes.
-    """
-    sub = np.asarray(sub_indices, dtype=np.int64)
-    if sub.ndim != 1 or sub.size < 2:
-        raise ForwardError("sub-grid needs at least two node indices")
-    if np.any(np.diff(sub) <= 0):
-        raise ForwardError("sub-grid indices must be strictly increasing")
-    if sub[0] < 0 or sub[-1] >= len(path.values):
-        raise ForwardError("sub-grid indices fall outside the path grid")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (sub.size - 1,):
-        raise ForwardError(
-            f"integrand has {phi.size} values for {sub.size - 1} left endpoints"
-        )
-    increments = path.values[sub[1:]] - path.values[sub[:-1]]
-    return float(np.dot(phi, increments))
-
-
-# Adapted integrands use the very same left-endpoint sum; the alias is
-# the public face of that guarantee.
-ito_integral = forward_integral
 
 
 def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
@@ -206,8 +160,8 @@ def kernel_scratch(plan: WealthPlan, pi_cap: float | None = None,
                    antithetic: bool = False) -> int:
     """Doubles per path row of the step blocks log_wealth_matrix gathers
     into: two for a deterministic fraction, three for the insider's
-    closed-form pairs and five for its two-pass kernel."""
-    blocks = 2 if plan.anchors is None else 3 if antithetic and pi_cap is None else 5
+    closed-form pairs and four for its two-pass kernel."""
+    blocks = 2 if plan.anchors is None else 3 if antithetic and pi_cap is None else 4
     return blocks * plan.left.size
 
 
@@ -345,42 +299,28 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
         return _checked(*_insider_pairs(plan, values, blocks))
     else:
         increments, pis = _insider_fractions(plan, values, pi_cap, antithetic, blocks)
-        gain, drift_steps = blocks[3], blocks[4]
+        gain = blocks[3]
         sides = []
         for pi, sign in zip(pis, (1.0, -1.0)):
             # rounding is odd-symmetric, so negating the sum negates every
             # term; log x0 sits in the drift part so the decomposition stays
-            # exact
+            # exact.  Once the gain is summed its block takes the drift steps,
+            # and pi, read for the last time, is squared in place.
             stochastic = sign * np.sum(_step_gain(plan, pi, increments, gain), axis=1)
-            drift = np.sum(_step_drift(plan, pi, drift_steps, gain), axis=1) + plan.log_x0
+            drift = np.sum(_step_drift(plan, pi, gain, pi), axis=1) + plan.log_x0
             sides.append((stochastic, drift))
     sides = [(stochastic + drift, stochastic, drift) for stochastic, drift in sides]
     rows = sides[0] if len(sides) == 1 else [0.5 * (p + m) for p, m in zip(*sides)]
     return _checked(*rows)
 
 
-def log_wealth(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
-               delta: float, pi_cap: float | None = None) -> LogWealthSample:
-    """Log wealth of one path at horizon T - delta, refused if check_truncation fails."""
-    plan = wealth_plan(market, strategy, path.grid, delta)
-    total, stoch, drift = log_wealth_matrix(
-        market, strategy, path.grid, path.values[None, :], delta, pi_cap, plan=plan
-    )
-    check_truncation(market, strategy, path.grid, delta, plan=plan)
-    return LogWealthSample(
-        horizon=market.horizon - delta,
-        log_wealth=float(total[0]),
-        stochastic_part=float(stoch[0]),
-        drift_part=float(drift[0]),
-    )
-
-
-def wealth_trace(market: MarketCoefficients, strategy: Strategy, path: BrownianPath,
-                 delta: float):
-    """(t, pi, running log wealth) along one path: for each base step, its
-    left end, the fraction held over it and the log wealth at its right end."""
-    plan = wealth_plan(market, strategy, path.grid, delta)
-    values = path.values[None, :]
+def wealth_trace(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
+                 values: np.ndarray, delta: float):
+    """(t, pi, running log wealth) along the path ``values``, one row aligned
+    with ``grid.points``: for each base step, its left end, the fraction held
+    over it and the log wealth at its right end."""
+    plan = wealth_plan(market, strategy, grid, delta)
+    values = np.asarray(values, dtype=float)[None, :]
     blocks = np.empty((5, 1, plan.left.size))
     if plan.anchors is None:
         pi, increments = plan.pi, _increments(plan, values, blocks[1], blocks[0])

@@ -32,12 +32,12 @@ from insider_lab.forward_sde import (
     wealth_plan,
 )
 from insider_lab.schedules import ConstantSchedule
-from insider_lab.strategy import MarketCoefficients, Strategy, TableStrategy
+from insider_lab.strategy import MarketCoefficients, Strategy
 
 # target size of one chunk's block of path values, in doubles (1.5 MiB).
 # Each worker thread draws and reduces every chunk of a run inside one
 # workspace, allocated once: this values block plus the step blocks its
-# kernel gathers into, two to five of them, each one base step wide (about
+# kernel gathers into, two to four of them, each one base step wide (about
 # half the block's width on the rig grid).  The budget keeps a worker's
 # working set near a 2 MiB per-core L2 and peak memory flat as grids grow.
 _CHUNK_TARGET = 3 << 16
@@ -200,22 +200,20 @@ def discretized_mean(market: MarketCoefficients, strategy: Strategy, grid: TimeG
     """Closed-form expectation of the discretized log-wealth estimator.
 
     On a fixed grid the estimator's mean is known exactly: the
-    stochastic sum contributes nothing for deterministic fractions,
-    while for the look-ahead fraction each term contributes
-    dt/eps (from the squared increment inside the correction) minus
-    half of dt/eps (from the variance penalty), leaving the left
-    Riemann sum of (alpha/beta)^2/2 + 1/(2 eps).  Used as a control
-    variate and as an oracle for discretization-bias studies.  ``plan``
-    defaults to wealth_plan(market, strategy, grid, delta).
+    stochastic sum contributes nothing for deterministic fractions, so
+    their mean is the plan's drift sum plus log x0, while for the
+    look-ahead fraction each term contributes dt/eps (from the squared
+    increment inside the correction) minus half of dt/eps (from the
+    variance penalty), leaving the left Riemann sum of
+    (alpha/beta)^2/2 + 1/(2 eps).  Used as a control variate and as an
+    oracle for discretization-bias studies.  ``plan`` defaults to
+    wealth_plan(market, strategy, grid, delta).
     """
     if plan is None:
         plan = wealth_plan(market, strategy, grid, delta)
-    if isinstance(strategy, TableStrategy):
-        rate = plan.pi * plan.alpha - 0.5 * plan.pi**2 * plan.beta**2
-    else:
-        rate = 0.5 * (plan.alpha / plan.beta) ** 2
-    if plan.eps is not None:
-        rate = rate + 0.5 / plan.eps
+    if plan.anchors is None:
+        return plan.const
+    rate = 0.5 * (plan.alpha / plan.beta) ** 2 + 0.5 / plan.eps
     return float(np.dot(rate, plan.dt)) + plan.log_x0
 
 
@@ -236,8 +234,14 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
     closed-form discretized means serves as a control variate with
     known zero mean; subtracting it shrinks each level's error bar to
     the scale of the level differences while leaving every level's
-    expectation untouched.
+    expectation untouched.  The centres are exact only for uncapped
+    fractions, so a config with pi_cap is refused.
     """
+    if cfg.pi_cap is not None:
+        raise MonteCarloError(
+            f"refine cannot run with pi_cap={cfg.pi_cap:g}: its control variate is "
+            "centred on the uncapped grid means; drop pi_cap or use simulate"
+        )
     if levels < 2:
         raise MonteCarloError(f"a refinement study needs at least 2 levels, got {levels}")
     if factor < 2:

@@ -3,9 +3,11 @@
 The honest trader holds the drift-to-variance ratio alpha/beta^2.  The
 insider adds a correction proportional to the noise increment it can
 already see: (anchor value - current value) / (beta * eps_t).  The same
-correction can be produced by composing the conditional-density layer's
-derivative-to-density ratio; both routes are exposed and tested against
-each other rather than collapsed.
+correction is the conditional-density layer's derivative-to-density
+ratio divided by beta.  This module holds the market and the strategy
+types.  forward_sde evaluates the fractions on whole blocks of paths;
+the one-time-point formulas of both routes live in tests/oracles.py,
+where the tests check them against each other and against the kernel.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from insider_lab.brownian import BrownianPath, value_at
-from insider_lab.donsker import malliavin_ratio
 from insider_lab.schedules import EpsilonSchedule
 
 #: Smallest volatility magnitude a market may have.
@@ -141,44 +141,3 @@ class TableStrategy:
 
 
 Strategy = HonestStrategy | InsiderStrategy | TableStrategy
-
-
-def honest_merton(market: MarketCoefficients, t: float) -> float:
-    """alpha(t)/beta(t)^2, the log-optimal fraction without look-ahead."""
-    return market.alpha(t) / market.beta(t) ** 2
-
-
-def insider_optimal(
-    market: MarketCoefficients,
-    schedule: EpsilonSchedule,
-    path: BrownianPath,
-    t: float,
-) -> float:
-    """Honest fraction plus (anchor noise - current noise)/(beta * eps_t).
-
-    Both t and t + eps_t must be grid points of the path; missing times
-    raise rather than interpolate.
-    """
-    eps = schedule.eval(t)
-    b_now = value_at(path, t)
-    b_anchor = value_at(path, t + eps)
-    return honest_merton(market, t) - (b_now - b_anchor) / (market.beta(t) * eps)
-
-
-def donsker_composed(
-    market: MarketCoefficients,
-    schedule: EpsilonSchedule,
-    path: BrownianPath,
-    t: float,
-) -> float:
-    """Same portfolio from the conditional-density layer's ratio.
-
-    Only the first look-ahead horizon enters; any second horizon (and
-    the value observed there) cancels between derivative and density, so
-    the result must agree with insider_optimal to rounding.
-    """
-    eps = schedule.eval(t)
-    b_now = value_at(path, t)
-    b_anchor = value_at(path, t + eps)
-    ratio = malliavin_ratio(b_now, b_anchor, eps)
-    return honest_merton(market, t) + ratio / market.beta(t)

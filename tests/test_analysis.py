@@ -18,7 +18,7 @@ from insider_lab.analysis import (
     truncation_sweep,
 )
 from insider_lab.cli import main
-from insider_lab.montecarlo import ExperimentConfig, McEstimate
+from insider_lab.montecarlo import ExperimentConfig, McEstimate, estimate_log_utility
 from insider_lab.schedules import AffineBelowSchedule, ConstantSchedule, PowerLawSchedule
 from insider_lab.strategy import (
     HonestStrategy,
@@ -215,7 +215,8 @@ class TestCompare:
             market=RIG, schedule=sched, strategy=HonestStrategy(),
             n_paths=400, base_points=256, delta=0.0,
         )
-        rep = compare(cfg, theory_override=0.125 + 0.5)
+        rep = ComparisonReport(theory=0.125 + 0.5, mc=estimate_log_utility(cfg),
+                               delta=cfg.delta)
         assert rep.verdict is Verdict.FAIL
 
 

@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insider_lab.brownian import (
-    BrownianPath,
     GridError,
     TimeGrid,
     mix_seed,
-    sample_path,
     union_grid,
     union_grids,
-    value_at,
 )
 from insider_lab.cli import main
+from insider_lab.montecarlo import _normal_block
 from insider_lab.schedules import (
     AffineBelowSchedule,
     ConstantSchedule,
@@ -23,6 +21,7 @@ from insider_lab.schedules import (
     ScheduleError,
     TableSchedule,
 )
+from oracles import check_path, draw, index_of, value_at
 
 
 class TestTimeGrid:
@@ -40,17 +39,17 @@ class TestTimeGrid:
 
     def test_index_of(self):
         g = TimeGrid(points=np.array([0.0, 0.5, 1.0]), max_horizon=1.0)
-        assert g.index_of(0.5) == 1
-        assert g.index_of(0.5 + 1e-13) == 1
+        assert index_of(g, 0.5) == 1
+        assert index_of(g, 0.5 + 1e-13) == 1
         with pytest.raises(GridError, match="interpolate"):
-            g.index_of(0.25)
+            index_of(g, 0.25)
 
 
 class TestUnionGrid:
     def test_constant_lookahead_example(self):
         g = union_grid(3, ConstantSchedule(0.5, 1.0), 0.0)
         for t in (0.0, 0.5, 1.0, 1.5):
-            assert g.index_of(t) >= 0
+            assert index_of(g, t) >= 0
         assert len(g) == 4
         assert g.max_horizon == pytest.approx(1.5)
 
@@ -110,47 +109,51 @@ class TestUnionGrid:
 
 
 class TestSampling:
+    # montecarlo._normal_block is the one sampler: the estimate and the
+    # --dump-path/--dump-wealth files draw every path with it
     def test_deterministic(self):
         g = union_grid(128, ConstantSchedule(1.0, 1.0), 0.0)
-        a = sample_path(g, 7)
-        b = sample_path(g, 7)
-        assert np.array_equal(a.values, b.values)
+        sqrt_gaps = np.sqrt(np.diff(g.points))
+        a = _normal_block([7, mix_seed(42, 3)], sqrt_gaps)
+        b = _normal_block([7, mix_seed(42, 3)], sqrt_gaps)
+        assert np.array_equal(a, b)
 
     def test_starts_at_zero(self):
         g = union_grid(128, ConstantSchedule(1.0, 1.0), 0.0)
-        p = sample_path(g, 3)
-        assert p.values[0] == 0.0
-        assert value_at(p, 0.0) == 0.0
+        p = draw(g, 3)
+        assert p[0] == 0.0
+        assert value_at(g, p, 0.0) == 0.0
 
     def test_different_seeds_differ(self):
         g = union_grid(128, ConstantSchedule(1.0, 1.0), 0.0)
-        assert not np.array_equal(sample_path(g, 1).values, sample_path(g, 2).values)
+        a, b = _normal_block([1, 2], np.sqrt(np.diff(g.points)))
+        assert not np.array_equal(a, b)
 
     def test_value_at_exact_and_off_grid(self):
         g = TimeGrid(points=np.array([0.0, 0.25, 1.0]), max_horizon=1.0)
-        p = sample_path(g, 11)
-        assert value_at(p, 0.25) == p.values[1]
+        p = draw(g, 11)
+        assert value_at(g, p, 0.25) == p[1]
         with pytest.raises(GridError, match="interpolate"):
-            value_at(p, 0.7)
+            value_at(g, p, 0.7)
 
     def test_path_values_must_match_grid(self):
         g = TimeGrid(points=np.array([0.0, 1.0]), max_horizon=1.0)
         with pytest.raises(GridError, match="align"):
-            BrownianPath(grid=g, values=np.array([0.0, 1.0, 2.0]), seed=0)
+            check_path(g, np.array([0.0, 1.0, 2.0]))
         with pytest.raises(GridError, match="start at 0"):
-            BrownianPath(grid=g, values=np.array([0.5, 1.0]), seed=0)
+            check_path(g, np.array([0.5, 1.0]))
 
     def test_standardized_increment_moments(self):
         # statistical gate: 1e5 paths, all standardized increments
         # mean within +-0.02, variance within [0.97, 1.03], and disjoint
         # increments uncorrelated within +-0.02
         g = TimeGrid(points=np.array([0.0, 0.3, 0.55, 1.0, 1.4]), max_horizon=1.4)
-        n = 100_000
+        n, block = 100_000, 10_000
         rows = np.empty((n, 4))
         gaps = np.diff(g.points)
-        for k in range(n):
-            p = sample_path(g, mix_seed(123, k))
-            rows[k] = np.diff(p.values) / np.sqrt(gaps)
+        for lo in range(0, n, block):
+            seeds = [mix_seed(123, k) for k in range(lo, lo + block)]
+            rows[lo:lo + block] = np.diff(_normal_block(seeds, np.sqrt(gaps))) / np.sqrt(gaps)
         means = rows.mean(axis=0)
         variances = rows.var(axis=0, ddof=1)
         assert np.all(np.abs(means) < 0.02)

@@ -230,6 +230,17 @@ class TestDiagnostics:
         assert payload["theory"] == pytest.approx(1.0932522233983162)
         assert payload["verdict"] == "Pass"
 
+    def test_refine_refuses_pi_cap(self, tmp_path):
+        # a binding cap moves every level's mean off the uncapped centres
+        # the control variate pulls it onto
+        out = tmp_path / "refine.json"
+        proc = run_cli("refine", "--schedule", "const:1", "--strategy", "merton",
+                       "--pi-cap", "1", "--paths", "400", "--base-points", "256",
+                       "--levels", "2", "--factor", "2", "--output", str(out))
+        assert proc.returncode == 1
+        assert "pi_cap" in proc.stderr
+        assert not out.exists()
+
 
 _SMALL = ["--schedule", "const:1", "--paths", "200", "--base-points", "256"]
 _REPORT_HEADER = ["delta", "theory", "mc_mean", "mc_stderr", "z", "verdict"]

@@ -12,11 +12,11 @@ from scipy import stats
 from insider_lab.donsker import (
     DonskerError,
     DonskerParams,
-    cond_delta_1d,
     cond_delta_2d,
     cond_delta_deriv_2d,
     malliavin_ratio,
 )
+from oracles import cond_delta_1d
 
 # parameter grid pinned for the normalization gate
 PARAM_GRID = [

@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from insider_lab.brownian import BrownianPath, TimeGrid, mix_seed, sample_path, union_grid
+from insider_lab.brownian import TimeGrid, mix_seed, union_grid
 from insider_lab.cli import main
 from insider_lab.forward_sde import (
     ForwardError,
-    LogWealthSample,
     check_truncation,
-    forward_integral,
-    ito_integral,
     kernel_scratch,
-    log_wealth,
     log_wealth_matrix,
     wealth_plan,
     wealth_trace,
@@ -24,6 +20,15 @@ from insider_lab.strategy import (
     MarketCoefficients,
     TableStrategy,
 )
+from oracles import (
+    LogWealthSample,
+    draw,
+    forward_integral,
+    index_of,
+    ito_integral,
+    log_wealth,
+    value_at,
+)
 
 RIG = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0)
 
@@ -33,88 +38,90 @@ def flat_strategy(value, horizon=1.0):
 
 
 def make_path(seed=7, n=9, end=1.0):
-    pts = np.linspace(0.0, end, n)
-    grid = TimeGrid(points=pts, max_horizon=end)
-    return sample_path(grid, seed=seed)
+    grid = TimeGrid(points=np.linspace(0.0, end, n), max_horizon=end)
+    return grid, draw(grid, seed)
 
 
 class TestForwardIntegral:
     def test_single_step_is_product(self):
-        path = make_path(seed=1, n=2)
+        grid, path = make_path(seed=1, n=2)
         phi = np.array([3.0])
-        got = forward_integral(phi, path, [0, 1])
-        assert got == 3.0 * (path.values[1] - path.values[0])
+        got = forward_integral(phi, grid, path, [0, 1])
+        assert got == 3.0 * (path[1] - path[0])
 
     def test_left_endpoint_not_midpoint(self):
         # hand-built path where the evaluation point matters
         grid = TimeGrid(points=np.array([0.0, 1.0, 2.0]), max_horizon=2.0)
-        path = BrownianPath(grid=grid, values=np.array([0.0, 1.0, 3.0]), seed=0)
+        path = np.array([0.0, 1.0, 3.0])
         phi = np.array([10.0, 20.0])
         # 10*(1-0) + 20*(3-1); midpoint weighting would give different mass
-        assert forward_integral(phi, path, [0, 1, 2]) == 10.0 * 1.0 + 20.0 * 2.0
+        assert forward_integral(phi, grid, path, [0, 1, 2]) == 10.0 * 1.0 + 20.0 * 2.0
 
     def test_sub_grid_skips_nodes(self):
-        path = make_path(seed=3, n=9)
+        grid, path = make_path(seed=3, n=9)
         sub = [0, 4, 8]
         phi = np.array([2.0, -1.0])
-        inc1 = path.values[4] - path.values[0]
-        inc2 = path.values[8] - path.values[4]
-        assert forward_integral(phi, path, sub) == pytest.approx(2 * inc1 - inc2, rel=1e-15)
+        inc1 = path[4] - path[0]
+        inc2 = path[8] - path[4]
+        assert forward_integral(phi, grid, path, sub) == pytest.approx(2 * inc1 - inc2,
+                                                                       rel=1e-15)
 
     def test_pull_out_power_of_two_factor_exact(self):
-        path = make_path(seed=11, n=33)
+        grid, path = make_path(seed=11, n=33)
         psi = np.sin(np.linspace(0.0, 3.0, 32))
         sub = np.arange(33)
-        assert forward_integral(4.0 * psi, path, sub) == 4.0 * forward_integral(psi, path, sub)
+        assert (forward_integral(4.0 * psi, grid, path, sub)
+                == 4.0 * forward_integral(psi, grid, path, sub))
 
     def test_pull_out_general_factor(self):
-        path = make_path(seed=13, n=33)
+        grid, path = make_path(seed=13, n=33)
         psi = np.cos(np.linspace(0.0, 2.0, 32))
         sub = np.arange(33)
-        scaled = forward_integral(2.7 * psi, path, sub)
-        assert scaled == pytest.approx(2.7 * forward_integral(psi, path, sub), rel=1e-13)
+        scaled = forward_integral(2.7 * psi, grid, path, sub)
+        assert scaled == pytest.approx(2.7 * forward_integral(psi, grid, path, sub), rel=1e-13)
 
     def test_additive_in_integrand(self):
-        path = make_path(seed=17, n=17)
+        grid, path = make_path(seed=17, n=17)
         rng = np.random.default_rng(0)
         f = rng.normal(size=16)
         g = rng.normal(size=16)
         sub = np.arange(17)
-        total = forward_integral(f + g, path, sub)
+        total = forward_integral(f + g, grid, path, sub)
         assert total == pytest.approx(
-            forward_integral(f, path, sub) + forward_integral(g, path, sub), rel=1e-12, abs=1e-15
+            forward_integral(f, grid, path, sub) + forward_integral(g, grid, path, sub),
+            rel=1e-12, abs=1e-15
         )
 
     def test_adapted_alias_is_same_function(self):
         assert ito_integral is forward_integral
 
     def test_length_mismatch_rejected(self):
-        path = make_path()
+        grid, path = make_path()
         with pytest.raises(ForwardError, match="left endpoints"):
-            forward_integral(np.ones(8), path, np.arange(8))
+            forward_integral(np.ones(8), grid, path, np.arange(8))
 
     def test_decreasing_indices_rejected(self):
-        path = make_path()
+        grid, path = make_path()
         with pytest.raises(ForwardError, match="increasing"):
-            forward_integral(np.ones(2), path, [0, 2, 1])
+            forward_integral(np.ones(2), grid, path, [0, 2, 1])
 
     def test_out_of_range_indices_rejected(self):
-        path = make_path(n=5)
+        grid, path = make_path(n=5)
         with pytest.raises(ForwardError, match="outside"):
-            forward_integral(np.ones(2), path, [0, 3, 12])
+            forward_integral(np.ones(2), grid, path, [0, 3, 12])
 
     def test_too_few_nodes_rejected(self):
-        path = make_path()
+        grid, path = make_path()
         with pytest.raises(ForwardError, match="two node"):
-            forward_integral(np.array([]), path, [0])
+            forward_integral(np.array([]), grid, path, [0])
 
 
 class TestLogWealthOracles:
     def test_zero_strategy_gives_exactly_zero(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.0)
-        path = sample_path(grid, seed=5)
-        sample = log_wealth(RIG, flat_strategy(0.0), path, delta=0.0)
+        path = draw(grid, seed=5)
+        sample = log_wealth(RIG, flat_strategy(0.0), grid, path, delta=0.0)
         assert sample.log_wealth == 0.0
         assert sample.stochastic_part == 0.0
         assert sample.drift_part == 0.0
@@ -125,17 +132,17 @@ class TestLogWealthOracles:
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         for delta in (0.0, 0.125):
             grid = union_grid(base_points=512, schedule=sched, delta=delta)
-            path = sample_path(grid, seed=29)
-            sample = log_wealth(market, flat_strategy(1.0), path, delta=delta)
+            path = draw(grid, seed=29)
+            sample = log_wealth(market, flat_strategy(1.0), grid, path, delta=delta)
             t_end = 1.0 - delta
-            b_end = path.values[grid.index_of(t_end)]
+            b_end = path[index_of(grid, t_end)]
             assert sample.log_wealth == pytest.approx(b_end - t_end / 2.0, rel=1e-12, abs=1e-12)
 
     def test_decomposition_identity_bitwise(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=1024, schedule=sched, delta=1e-3)
-        path = sample_path(grid, seed=41)
-        sample = log_wealth(RIG, InsiderStrategy(schedule=sched), path, delta=1e-3)
+        path = draw(grid, seed=41)
+        sample = log_wealth(RIG, InsiderStrategy(schedule=sched), grid, path, delta=1e-3)
         assert sample.log_wealth == sample.stochastic_part + sample.drift_part
 
     def test_decomposition_guard_in_constructor(self):
@@ -151,45 +158,43 @@ class TestLogWealthOracles:
         strat = HonestStrategy()
         acc = 0.0
         for k in range(20):
-            path = sample_path(grid, seed=mix_seed(99, k))
-            mirrored = BrownianPath(grid=grid, values=-path.values, seed=path.seed)
-            a = log_wealth(RIG, strat, path, delta=0.0).log_wealth
-            b = log_wealth(RIG, strat, mirrored, delta=0.0).log_wealth
+            path = draw(grid, seed=mix_seed(99, k))
+            a = log_wealth(RIG, strat, grid, path, delta=0.0).log_wealth
+            b = log_wealth(RIG, strat, grid, -path, delta=0.0).log_wealth
             acc += 0.5 * (a + b)
         assert acc / 20 == pytest.approx(0.125, abs=1e-12)
 
     def test_insider_matches_hand_rolled_loop(self):
         sched = ConstantSchedule(value=0.5, horizon=1.0)
         grid = union_grid(base_points=4, schedule=sched, delta=0.0)
-        path = sample_path(grid, seed=77)
-        sample = log_wealth(RIG, InsiderStrategy(schedule=sched), path, delta=0.0)
-
-        from insider_lab.brownian import value_at
+        path = draw(grid, seed=77)
+        sample = log_wealth(RIG, InsiderStrategy(schedule=sched), grid, path, delta=0.0)
 
         base_t = grid.points[grid.base_indices]
         expected = 0.0
         for j in range(len(base_t) - 1):
             t = base_t[j]
             dt = base_t[j + 1] - base_t[j]
-            db = value_at(path, base_t[j + 1]) - value_at(path, t)
-            pi = 0.1 / 0.04 - (value_at(path, t) - value_at(path, t + 0.5)) / (0.2 * 0.5)
+            db = value_at(grid, path, base_t[j + 1]) - value_at(grid, path, t)
+            pi = 0.1 / 0.04 - (value_at(grid, path, t)
+                               - value_at(grid, path, t + 0.5)) / (0.2 * 0.5)
             expected += pi * 0.2 * db + (pi * 0.1 - 0.5 * pi**2 * 0.04) * dt
         assert sample.log_wealth == pytest.approx(expected, rel=1e-12)
 
     def test_horizon_field_reports_truncated_time(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=1024, schedule=sched, delta=0.01)
-        path = sample_path(grid, seed=2)
-        sample = log_wealth(RIG, InsiderStrategy(schedule=sched), path, delta=0.01)
+        path = draw(grid, seed=2)
+        sample = log_wealth(RIG, InsiderStrategy(schedule=sched), grid, path, delta=0.01)
         assert sample.horizon == pytest.approx(0.99)
 
     def test_initial_capital_shifts_drift_part(self):
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=0.0)
-        path = sample_path(grid, seed=3)
-        rich = log_wealth(market, HonestStrategy(), path, delta=0.0)
-        flat = log_wealth(RIG, HonestStrategy(), path, delta=0.0)
+        path = draw(grid, seed=3)
+        rich = log_wealth(market, HonestStrategy(), grid, path, delta=0.0)
+        flat = log_wealth(RIG, HonestStrategy(), grid, path, delta=0.0)
         assert rich.drift_part == pytest.approx(flat.drift_part + np.log(2.0), rel=1e-14)
         assert rich.stochastic_part == flat.stochastic_part
 
@@ -198,10 +203,10 @@ class TestMatrixConsistency:
     def test_single_row_matches_scalar_api_bitwise(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=512, schedule=sched, delta=1e-2)
-        path = sample_path(grid, seed=55)
+        path = draw(grid, seed=55)
         strat = InsiderStrategy(schedule=sched)
-        total, stoch, drift = log_wealth_matrix(RIG, strat, grid, path.values[None, :], 1e-2)
-        sample = log_wealth(RIG, strat, path, delta=1e-2)
+        total, stoch, drift = log_wealth_matrix(RIG, strat, grid, path[None, :], 1e-2)
+        sample = log_wealth(RIG, strat, grid, path, delta=1e-2)
         assert sample.log_wealth == total[0]
         assert sample.stochastic_part == stoch[0]
         assert sample.drift_part == drift[0]
@@ -209,11 +214,11 @@ class TestMatrixConsistency:
     def test_stacked_rows_match_individual_paths(self):
         sched = ConstantSchedule(value=0.4, horizon=1.0)
         grid = union_grid(base_points=128, schedule=sched, delta=0.0)
-        paths = [sample_path(grid, seed=mix_seed(8, k)) for k in range(6)]
-        block = np.stack([p.values for p in paths])
+        paths = [draw(grid, seed=mix_seed(8, k)) for k in range(6)]
+        block = np.stack(paths)
         total, _, _ = log_wealth_matrix(RIG, InsiderStrategy(schedule=sched), grid, block, 0.0)
         for k, p in enumerate(paths):
-            single = log_wealth(RIG, InsiderStrategy(schedule=sched), p, delta=0.0)
+            single = log_wealth(RIG, InsiderStrategy(schedule=sched), grid, p, delta=0.0)
             assert total[k] == single.log_wealth
 
     @pytest.mark.parametrize("strategy", ["honest", "insider", "table"])
@@ -224,7 +229,7 @@ class TestMatrixConsistency:
                  "table": TableStrategy(knots=((0.0, 1.0), (1.0, 4.0)))}[strategy]
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.1)
-        block = np.stack([sample_path(grid, seed=mix_seed(9, k)).values for k in range(5)])
+        block = np.stack([draw(grid, seed=mix_seed(9, k)) for k in range(5)])
         plus = log_wealth_matrix(market, strat, grid, block, 0.1, pi_cap)
         minus = log_wealth_matrix(market, strat, grid, -block, 0.1, pi_cap)
         paired = log_wealth_matrix(market, strat, grid, block, 0.1, pi_cap, antithetic=True)
@@ -246,7 +251,7 @@ class TestMatrixConsistency:
         strat = {"honest": HonestStrategy(), "insider": InsiderStrategy(schedule=sched),
                  "table": TableStrategy(knots=((0.0, 1.0), (1.0, 4.0)))}[strategy]
         grid = union_grid(base_points=256, schedule=sched, delta=0.1)
-        block = np.stack([sample_path(grid, seed=mix_seed(9, k)).values for k in range(5)])
+        block = np.stack([draw(grid, seed=mix_seed(9, k)) for k in range(5)])
         plan = wealth_plan(RIG, strat, grid, 0.1)
         scratch = np.full(5 * kernel_scratch(plan, pi_cap, antithetic), np.nan)
         fresh = log_wealth_matrix(RIG, strat, grid, block, 0.1, pi_cap, antithetic, plan=plan)
@@ -263,7 +268,7 @@ class TestMatrixConsistency:
         strat = InsiderStrategy(schedule=sched)
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.1)
-        block = np.stack([sample_path(grid, seed=mix_seed(9, k)).values for k in range(5)])
+        block = np.stack([draw(grid, seed=mix_seed(9, k)) for k in range(5)])
         plan = wealth_plan(market, strat, grid, 0.1)
         paired = log_wealth_matrix(market, strat, grid, block, 0.1, antithetic=True, plan=plan)
         for k in range(5):
@@ -308,15 +313,15 @@ class TestMatrixConsistency:
         grid = union_grid(base_points=64, schedule=sched, delta=0.0)
         values = np.zeros(len(grid.points))
         # a huge spike at t=0 drives the uncapped fraction far negative
-        values[grid.index_of(0.0)] = 0.0
+        values[index_of(grid, 0.0)] = 0.0
         spiked = values.copy()
         anchor0 = grid.anchor_indices[0]
         spiked[anchor0] = -50.0
         spiked[0] = 0.0
-        path = BrownianPath(grid=grid, values=spiked - spiked[0], seed=0)
+        path = spiked - spiked[0]
         strat = InsiderStrategy(schedule=sched)
-        wild = log_wealth(RIG, strat, path, delta=0.0, pi_cap=None)
-        tame = log_wealth(RIG, strat, path, delta=0.0, pi_cap=1.0)
+        wild = log_wealth(RIG, strat, grid, path, delta=0.0, pi_cap=None)
+        tame = log_wealth(RIG, strat, grid, path, delta=0.0, pi_cap=1.0)
         assert abs(tame.drift_part) < abs(wild.drift_part)
 
 
@@ -351,9 +356,9 @@ class TestTruncationRule:
     def test_log_wealth_runs_the_check(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=1e-4)
-        path = sample_path(grid, seed=1)
+        path = draw(grid, seed=1)
         with pytest.raises(ForwardError, match="too coarse"):
-            log_wealth(RIG, InsiderStrategy(schedule=sched), path, delta=1e-4)
+            log_wealth(RIG, InsiderStrategy(schedule=sched), grid, path, delta=1e-4)
 
     def test_step_longer_than_its_look_ahead_rejected(self):
         # eps = (1 - t)**3 falls below the 4096-point grid step before the
@@ -372,9 +377,9 @@ class TestTruncationRule:
     def test_delta_outside_range_rejected(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=0.0)
-        path = sample_path(grid, seed=1)
+        path = draw(grid, seed=1)
         with pytest.raises(ForwardError, match="delta"):
-            log_wealth(RIG, HonestStrategy(), path, delta=1.5)
+            log_wealth(RIG, HonestStrategy(), grid, path, delta=1.5)
 
 
 def _cli_wealth_dump(tmp_path, *flags):
@@ -388,25 +393,27 @@ class TestWealthDump:
     def test_csv_columns_and_final_row(self, tmp_path):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=32, schedule=sched, delta=0.0)
-        path = sample_path(grid, seed=4)
-        t, pi, running = wealth_trace(RIG, HonestStrategy(), path, 0.0)
-        sample = log_wealth(RIG, HonestStrategy(), path, delta=0.0)
+        path = draw(grid, seed=4)
+        t, pi, running = wealth_trace(RIG, HonestStrategy(), grid, path, 0.0)
+        sample = log_wealth(RIG, HonestStrategy(), grid, path, delta=0.0)
         assert running[-1] == pytest.approx(sample.log_wealth, rel=1e-10)
         assert len(t) == len(pi) == len(running) == len(grid.base_indices) - 1
         # the CLI writes the trace of the run's first path
         lines = _cli_wealth_dump(tmp_path, "--strategy", "merton")
         assert lines[0] == "t,pi,log_wealth"
-        first = sample_path(union_grid(256, sched, 0.0), mix_seed(42, 0))
+        grid = union_grid(256, sched, 0.0)
+        first = draw(grid, mix_seed(42, 0))
         final = float(lines[-1].split(",")[2])
-        assert final == pytest.approx(log_wealth(RIG, HonestStrategy(), first, 0.0).log_wealth,
-                                      rel=1e-10)
+        assert final == pytest.approx(
+            log_wealth(RIG, HonestStrategy(), grid, first, 0.0).log_wealth, rel=1e-10)
 
     def test_trace_starts_from_log_x0(self, tmp_path):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
-        path = sample_path(union_grid(256, sched, 0.0), mix_seed(4, 0))
-        sample = log_wealth(market, InsiderStrategy(schedule=sched), path, delta=0.0)
+        grid = union_grid(256, sched, 0.0)
+        path = draw(grid, mix_seed(4, 0))
+        sample = log_wealth(market, InsiderStrategy(schedule=sched), grid, path, delta=0.0)
         lines = _cli_wealth_dump(tmp_path, "--x0", "2", "--seed", "4")
         assert float(lines[-1].split(",")[2]) == pytest.approx(sample.log_wealth, rel=1e-10)
-        _, _, running = wealth_trace(market, InsiderStrategy(schedule=sched), path, 0.0)
+        _, _, running = wealth_trace(market, InsiderStrategy(schedule=sched), grid, path, 0.0)
         assert running[-1] == pytest.approx(sample.log_wealth, rel=1e-10)

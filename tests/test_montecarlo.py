@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import insider_lab.forward_sde as fsde
 import insider_lab.montecarlo as mc
-from insider_lab.brownian import mix_seed, sample_path, union_grid, union_grids
+from insider_lab.brownian import mix_seed, union_grid, union_grids
+from insider_lab.cli import main
 from insider_lab.config import config_digest, to_dict as config_dict
 from insider_lab.forward_sde import ForwardError, check_truncation
 from insider_lab.montecarlo import (
@@ -269,15 +270,20 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < (1.25 + 0.5 * step_blocks) * budget
 
-    def test_dump_sampler_matches_chunk_sampler(self):
-        # --dump-path draws the run's first path with sample_path; it must be
-        # row 0 of the block the estimate drew
+    def test_dump_sampler_matches_chunk_sampler(self, tmp_path):
+        # --dump-path writes the run's first path: row 0 of the block the
+        # estimate drew, bit for bit, since .17g round-trips every double
         grid = union_grid(4096, PowerLawSchedule(exponent=0.5, horizon=1.0), 1e-3)
         sqrt_gaps = np.sqrt(np.diff(grid.points))
         for s in (42, 7):
-            seed = mix_seed(s, 0)
-            row = mc._normal_block([seed], sqrt_gaps)[0]
-            assert np.array_equal(sample_path(grid, seed).values, row)
+            target = tmp_path / f"path{s}.csv"
+            assert main(["simulate", "--schedule", "powerlaw:q=0.5", "--delta", "1e-3",
+                         "--base-points", "4096", "--paths", "100", "--seed", str(s),
+                         "--dump-path", str(target)]) == 0
+            dumped = np.loadtxt(target, delimiter=",", skiprows=1)
+            row = mc._normal_block([mix_seed(s, 0)], sqrt_gaps)[0]
+            assert np.array_equal(dumped[:, 0], grid.points)
+            assert np.array_equal(dumped[:, 1], row)
 
     def test_per_row_generator_matches_default_rng(self):
         # each row builds Generator(PCG64(s)) directly; it must draw the bits
@@ -509,6 +515,16 @@ class TestRefinementStudy:
         # bias shrinks with refinement, so the coarse level sits further
         # below the fine level's center than the fine level itself
         assert a.estimate.mean < b.estimate.mean
+
+    def test_pi_cap_refused_before_any_path_is_drawn(self, monkeypatch):
+        # the control variate is centred on uncapped grid means, which a
+        # binding cap moves: every level would be pulled onto the wrong value
+        drawn = []
+        monkeypatch.setattr(mc, "_normal_block", lambda *a, **k: drawn.append(a))
+        for cfg in (honest_config(pi_cap=1.0), insider_config(n_paths=400, pi_cap=3.0)):
+            with pytest.raises(MonteCarloError, match="pi_cap"):
+                refinement_study(cfg, levels=2, factor=2)
+        assert drawn == []
 
     def test_needs_two_levels(self):
         with pytest.raises(MonteCarloError, match="2 levels"):

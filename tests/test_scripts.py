@@ -1,8 +1,14 @@
 """Smoke runs of the command-line scripts under scripts/."""
 
+import contextlib
+import importlib.util
+import io
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from insider_lab.cli import build_parser, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +35,38 @@ def test_truncation_ladder_prints_one_row_per_delta():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["delta", "theory", "mc", "mean", "stderr", "z", "verdict"]
     assert [line.split()[0] for line in lines[1:]] == ["0.2", "0.1"]
+
+
+def test_run_acceptance_invokes_only_flags_the_cli_parses(monkeypatch, tmp_path):
+    # every gate's argv must parse, so a renamed flag fails here at once
+    # instead of minutes into a full-rig run; viability runs for real (it
+    # draws nothing) so its expected phrase is checked against the CLI
+    spec = importlib.util.spec_from_file_location("run_acceptance",
+                                                  SCRIPTS / "run_acceptance.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parser = build_parser()
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv[1:3])
+        if argv[1:3] == ["-m", "pytest"]:
+            return subprocess.CompletedProcess(argv, 0)
+        assert argv[:3] == [sys.executable, "-m", "insider_lab"]
+        args = parser.parse_args(argv[3:])
+        if args.command == "viability":
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv[3:])
+            return subprocess.CompletedProcess(argv, code, stdout=out.getvalue(), stderr="")
+        if args.output:
+            # the keys the script reads: a sweep's two report means and the
+            # wall time it drops before diffing two runs
+            Path(args.output).write_text(json.dumps(
+                {"wall_time_s": 0.0, "reports": [{"mean": 0.0}, {"mean": 1.0}]}))
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(script.subprocess, "run", fake_run)
+    monkeypatch.setattr(script.tempfile, "mkdtemp", lambda prefix: str(tmp_path))
+    assert script.main() == 0
+    assert calls.count(["-m", "pytest"]) == 1
+    assert calls.count(["-m", "insider_lab"]) == 12

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insider_lab.brownian import GridError, sample_path, union_grid
+from insider_lab.brownian import GridError, union_grid
 from insider_lab.config import parse_strategy
 from insider_lab.schedules import ConstantSchedule, PowerLawSchedule
 from insider_lab.strategy import (
@@ -17,10 +17,8 @@ from insider_lab.strategy import (
     PiecewiseConstant,
     StrategyError,
     TableStrategy,
-    donsker_composed,
-    honest_merton,
-    insider_optimal,
 )
+from oracles import donsker_composed, draw, honest_merton, index_of, insider_optimal
 
 RIG = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0)
 
@@ -76,7 +74,7 @@ class TestHonest:
     def test_path_independent(self):
         s = ConstantSchedule(1.0, 1.0)
         g = union_grid(64, s, 0.0)
-        p1, p2 = sample_path(g, 1), sample_path(g, 2)
+        p1, p2 = draw(g, 1), draw(g, 2)
         ts = g.points[g.base_indices][:-1]
         assert all(honest_merton(RIG, t) == honest_merton(RIG, t) for t in ts)
         del p1, p2  # honest fraction never reads a path
@@ -86,28 +84,25 @@ class TestInsider:
     def test_closed_form(self):
         s = ConstantSchedule(0.5, 1.0)
         g = union_grid(5, s, 0.0)
-        p = sample_path(g, 9)
+        p = draw(g, 9)
         t = float(g.points[g.base_indices][1])
         eps = s.eval(t)
-        expected = 2.5 - (p.values[g.index_of(t)] - p.values[g.index_of(t + eps)]) / (0.2 * eps)
-        assert insider_optimal(RIG, s, p, t) == pytest.approx(expected, rel=1e-14)
+        expected = 2.5 - (p[index_of(g, t)] - p[index_of(g, t + eps)]) / (0.2 * eps)
+        assert insider_optimal(RIG, s, g, p, t) == pytest.approx(expected, rel=1e-14)
 
     def test_missing_anchor_named_in_error(self):
         s = ConstantSchedule(0.3, 1.0)
         g = union_grid(5, ConstantSchedule(1.0, 1.0), 0.0)  # anchors for eps=1 only
-        p = sample_path(g, 4)
+        p = draw(g, 4)
         with pytest.raises(GridError, match="0.55"):
-            insider_optimal(RIG, s, p, 0.25)
+            insider_optimal(RIG, s, g, p, 0.25)
 
     def test_zero_when_flat_increment(self):
         # identical noise at t and anchor: correction vanishes
         s = ConstantSchedule(0.5, 1.0)
         g = union_grid(5, s, 0.0)
-        p = sample_path(g, 12)
-        vals = p.values.copy()
-        vals[:] = 0.0
-        frozen = type(p)(grid=g, values=vals, seed=p.seed)
-        assert insider_optimal(RIG, s, frozen, 0.5) == pytest.approx(2.5)
+        frozen = np.zeros(len(g))
+        assert insider_optimal(RIG, s, g, frozen, 0.5) == pytest.approx(2.5)
 
     def test_two_routes_agree(self):
         # composed conditional-density route equals the direct formula
@@ -116,10 +111,10 @@ class TestInsider:
         rng = np.random.default_rng(99)
         base = g.points[g.base_indices][:-1]
         for seed in range(20):
-            p = sample_path(g, seed)
+            p = draw(g, seed)
             for t in rng.choice(base, size=500):
-                a = insider_optimal(RIG, s, p, float(t))
-                b = donsker_composed(RIG, s, p, float(t))
+                a = insider_optimal(RIG, s, g, p, float(t))
+                b = donsker_composed(RIG, s, g, p, float(t))
                 assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
     def test_second_horizon_is_irrelevant(self):
