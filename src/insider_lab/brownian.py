@@ -60,7 +60,6 @@ class TimeGrid:
     """
 
     points: np.ndarray
-    max_horizon: float
     base_indices: np.ndarray | None = None
     anchor_indices: np.ndarray | None = None
 
@@ -74,10 +73,11 @@ class TimeGrid:
         gaps = np.diff(pts)
         if np.any(gaps <= 0):
             raise GridError("time grid points must be strictly increasing")
-        if abs(pts[-1] - self.max_horizon) > MERGE_TOL:
-            raise GridError(
-                f"last grid point {pts[-1]} must equal max_horizon {self.max_horizon}"
-            )
+
+    @property
+    def max_horizon(self) -> float:
+        """The last grid point."""
+        return float(self.points[-1])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -140,8 +140,7 @@ def union_grids(sizes, schedule: EpsilonSchedule, delta: float) -> list[TimeGrid
     inverse[order] = np.cumsum(keep) - 1
     parts = np.split(inverse, np.cumsum([len(seg) for seg in segments[:-1]]))
     return [
-        TimeGrid(points=points, max_horizon=float(points[-1]),
-                 base_indices=base_idx, anchor_indices=anchor_idx)
+        TimeGrid(points=points, base_indices=base_idx, anchor_indices=anchor_idx)
         for base_idx, anchor_idx in zip(parts[::2], parts[1::2])
     ]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,7 @@ from insider_lab.montecarlo import (
     martingale_gap_check,
     refinement_study,
     run_experiment,
+    run_plan,
 )
 from insider_lab.schedules import QuadratureError, classify_viability, viability_integral
 from insider_lab.strategy import MarketCoefficients
@@ -363,8 +365,9 @@ def _cmd_simulate(args):
         if args.dump_path:
             _write_csv(args.dump_path, ["t", "B"], zip(grid.points, values))
         if args.dump_wealth:
-            _write_csv(args.dump_wealth, ["t", "pi", "log_wealth"],
-                       zip(*wealth_trace(cfg.market, cfg.strategy, grid, values, cfg.delta)))
+            # no fraction is held past the last base time: its pi cell stays empty
+            _write_csv(args.dump_wealth, ["t", "pi", "log_wealth"], itertools.zip_longest(
+                *wealth_trace(run_plan(cfg, grid), values), fillvalue=""))
     return _emit(args, {"command": "simulate", "config": to_dict(cfg), **result},
                  ["config_digest", "mean", "stderr", "ci_lo", "ci_hi", "n_paths",
                   "wall_time_s"],

@@ -354,8 +354,3 @@ def strategy_literal(text: str) -> dict:
 def parse_schedule(text: str, horizon: float) -> EpsilonSchedule:
     """Build a schedule from a CLI literal (see schedule_literal)."""
     return _schedule(schedule_literal(text), horizon)
-
-
-def parse_strategy(text: str, schedule: EpsilonSchedule) -> Strategy:
-    """Build a strategy from a CLI literal (see strategy_literal)."""
-    return _strategy(strategy_literal(text), schedule)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from insider_lab.brownian import TimeGrid
-from insider_lab.schedules import Classification, classify_viability
+from insider_lab.schedules import Classification, EpsilonSchedule, classify_viability
 from insider_lab.strategy import (
     HonestStrategy,
     InsiderStrategy,
@@ -38,8 +38,7 @@ class ForwardError(ValueError):
     """Inconsistent integrand, grid or truncation parameters."""
 
 
-def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                     delta: float, *, plan: WealthPlan | None = None) -> None:
+def check_truncation(plan: WealthPlan) -> None:
     """Enforce the truncation rules for look-ahead strategies.
 
     The left-endpoint bias of the look-ahead integrand scales with
@@ -52,16 +51,13 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeG
     Every base step must also be no longer than the look-ahead at its
     left end, eps(t_j) >= dt_j, so that each anchor lies beyond the end
     of its step: then discretized_mean is the estimator's exact mean.
-    ``plan`` defaults to wealth_plan(market, strategy, grid, delta).
     """
-    if not isinstance(strategy, InsiderStrategy):
+    if plan.schedule is None:
         return
-    schedule = strategy.schedule
-    T = market.horizon
-    if plan is None:
-        plan = wealth_plan(market, strategy, grid, delta)
+    T, delta = plan.horizon, plan.delta
+    t_left = plan.times[:-1]
     if delta <= 0:
-        report = classify_viability(schedule)
+        report = classify_viability(plan.schedule)
         if report.classification is not Classification.VIABLE:
             raise ForwardError(
                 "delta = 0 reaches the horizon, but the schedule's look-ahead "
@@ -69,9 +65,9 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeG
             )
     else:
         tail_start = T - 10.0 * delta
-        tail_gaps = plan.dt[plan.t_left >= tail_start - 1e-12]
+        tail_gaps = plan.dt[t_left >= tail_start - 1e-12]
         max_tail_gap = float(tail_gaps.max() if tail_gaps.size else plan.dt.max())
-        scale = max(delta, float(schedule.eval(T - delta)))
+        scale = max(delta, float(plan.schedule.eval(T - delta)))
         if 100.0 * max_tail_gap > scale:
             raise ForwardError(
                 f"tail grid step {max_tail_gap:.3g} too coarse for truncation "
@@ -82,39 +78,57 @@ def check_truncation(market: MarketCoefficients, strategy: Strategy, grid: TimeG
     if short.size:
         j = short[0]
         raise ForwardError(
-            f"look-ahead {plan.eps[j]:.3g} at t={plan.t_left[j]:.6g} is shorter than its "
+            f"look-ahead {plan.eps[j]:.3g} at t={t_left[j]:.6g} is shorter than its "
             f"grid step {plan.dt[j]:.3g}; refine the base grid or enlarge delta"
         )
 
 
 @dataclass(frozen=True)
 class WealthPlan:
-    """What the log-wealth kernels read from one (market, strategy, grid,
-    delta), evaluated once per grid: base-step indices, left-end values,
-    log x0 and ``const``, the deterministic part of a row's log wealth.
-    A deterministic fraction pi also carries pi*beta, and ``const`` is its
-    drift sum plus log x0.  The insider carries the anchors, eps and 1/eps,
-    and ``const`` is its pair average's sum (alpha/beta)^2 dt/2 + log x0."""
+    """Everything the log-wealth kernels read about one run on one grid,
+    evaluated once: the run's settings (horizon, delta, pi_cap, pairing),
+    the base times, step indices and left-end values, log x0 and
+    ``const``, the deterministic part of a row's log wealth.  A
+    deterministic fraction pi is stored capped, with pi*beta, and
+    ``const`` is its drift sum plus log x0.  The insider carries its
+    schedule, the anchors, eps and 1/eps, and ``const`` is its pair
+    average's sum (alpha/beta)^2 dt/2 + log x0."""
 
+    horizon: float
+    delta: float
+    pi_cap: float | None
+    antithetic: bool
     left: np.ndarray
     right: np.ndarray
-    t_left: np.ndarray
+    times: np.ndarray
     dt: np.ndarray
     half_dt: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     pi: np.ndarray
     log_x0: float
+    const: float
     pi_beta: np.ndarray | None = None
+    schedule: EpsilonSchedule | None = None
     anchors: np.ndarray | None = None
     eps: np.ndarray | None = None
     inv_eps: np.ndarray | None = None
-    const: float = 0.0
+
+    @property
+    def scratch(self) -> int:
+        """Doubles per path row of the step blocks log_wealth_matrix gathers
+        into: two for a deterministic fraction, three for the insider's
+        closed-form pairs and four for its two-pass kernel."""
+        blocks = 2 if self.anchors is None else 3 if self.antithetic and self.pi_cap is None else 4
+        return blocks * self.left.size
 
 
 def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                delta: float) -> WealthPlan:
-    """The per-grid plan that log_wealth_matrix runs on."""
+                delta: float, pi_cap: float | None = None,
+                antithetic: bool = False) -> WealthPlan:
+    """The plan of one run on ``grid``: the only input of the kernels.
+    ``pi_cap`` clips every fraction to [-pi_cap, pi_cap]; with
+    ``antithetic`` each row is averaged with its negated path."""
     T = market.horizon
     if not (0 <= delta < T):
         raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
@@ -125,17 +139,23 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
     if sub.size < 2:
         raise ForwardError("no integration steps below the truncated horizon")
     left = sub[:-1]
-    t_left = grid.points[left]
-    dt = np.diff(grid.points[sub])
+    times = grid.points[sub]
+    t_left = times[:-1]
+    dt = np.diff(times)
     alpha = market.alpha(t_left)
     beta = market.beta(t_left)
     honest = alpha / beta**2
     log_x0 = float(np.log(market.x0))
-    common = dict(left=left, right=sub[1:], t_left=t_left, dt=dt, half_dt=0.5 * dt,
-                  alpha=alpha, beta=beta, log_x0=log_x0)
+    common = dict(horizon=T, delta=delta, pi_cap=pi_cap, antithetic=antithetic, left=left,
+                  right=sub[1:], times=times, dt=dt, half_dt=0.5 * dt, alpha=alpha,
+                  beta=beta, log_x0=log_x0)
     if isinstance(strategy, (HonestStrategy, TableStrategy)):
         pi = honest if isinstance(strategy, HonestStrategy) else strategy.fraction(t_left)
-        return _with_fraction(WealthPlan(pi=pi, **common), pi)
+        if pi_cap is not None:
+            pi = np.clip(pi, -pi_cap, pi_cap)
+        plan = WealthPlan(pi=pi, pi_beta=pi * beta, const=0.0, **common)
+        drift = _step_drift(plan, pi, np.empty_like(pi), np.empty_like(pi))
+        return replace(plan, const=float(np.sum(drift) + log_x0))
     if not isinstance(strategy, InsiderStrategy):
         raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
     if grid.anchor_indices is None:
@@ -144,25 +164,8 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
     eps = strategy.schedule.eval(t_left)
     const = float(np.sum(0.5 * (alpha / beta) ** 2 * dt) + log_x0)
     anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
-    return WealthPlan(pi=honest, anchors=anchors, eps=eps, inv_eps=1.0 / eps,
-                      const=const, **common)
-
-
-def _with_fraction(plan: WealthPlan, pi: np.ndarray) -> WealthPlan:
-    """``plan`` holding the deterministic fraction pi, with its pi*beta and
-    its drift sum plus log x0."""
-    drift = _step_drift(plan, pi, np.empty_like(pi), np.empty_like(pi))
-    return replace(plan, pi=pi, pi_beta=pi * plan.beta,
-                   const=float(np.sum(drift) + plan.log_x0))
-
-
-def kernel_scratch(plan: WealthPlan, pi_cap: float | None = None,
-                   antithetic: bool = False) -> int:
-    """Doubles per path row of the step blocks log_wealth_matrix gathers
-    into: two for a deterministic fraction, three for the insider's
-    closed-form pairs and four for its two-pass kernel."""
-    blocks = 2 if plan.anchors is None else 3 if antithetic and pi_cap is None else 4
-    return blocks * plan.left.size
+    return WealthPlan(pi=honest, schedule=strategy.schedule, anchors=anchors, eps=eps,
+                      inv_eps=1.0 / eps, const=const, **common)
 
 
 def _checked(total: np.ndarray, stochastic: np.ndarray, drift: np.ndarray):
@@ -193,23 +196,22 @@ def _increments(plan: WealthPlan, values: np.ndarray, out: np.ndarray,
     return out
 
 
-def _insider_fractions(plan: WealthPlan, values: np.ndarray, pi_cap: float | None,
-                       antithetic: bool, blocks: np.ndarray):
-    """Increments and a list of the insider's pi on the base sub-grid, in the
-    first three of ``blocks``: pi along ``values`` and, with antithetic,
-    along ``-values``."""
+def _insider_fractions(plan: WealthPlan, values: np.ndarray, blocks: np.ndarray):
+    """Increments and a list of the insider's capped pi on the base sub-grid,
+    in the first three of ``blocks``: pi along ``values`` and, when the plan
+    pairs paths, along ``-values``."""
     pi, increments, correction = blocks[:3]
     _increments(plan, values, increments, pi)
     _gather(values, plan.anchors, correction)
     np.subtract(pi, correction, out=correction)
     correction /= plan.beta * plan.eps
     pis = [np.subtract(plan.pi, correction, out=pi)]
-    if antithetic:
+    if plan.antithetic:
         # negating the path negates the correction exactly
         pis.append(np.add(plan.pi, correction, out=correction))
-    if pi_cap is not None:
+    if plan.pi_cap is not None:
         for pi in pis:
-            np.clip(pi, -pi_cap, pi_cap, out=pi)
+            np.clip(pi, -plan.pi_cap, plan.pi_cap, out=pi)
     return increments, pis
 
 
@@ -257,48 +259,40 @@ def _insider_pairs(plan: WealthPlan, values: np.ndarray, blocks: np.ndarray):
     return stochastic + drift, stochastic, drift
 
 
-def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                      values: np.ndarray, delta: float, pi_cap: float | None = None,
-                      antithetic: bool = False, *, plan: WealthPlan | None = None,
+def log_wealth_matrix(plan: WealthPlan, values: np.ndarray,
                       scratch: np.ndarray | None = None):
     """Vectorized log wealth for a block of paths.
 
-    ``values`` has one row per path, aligned with ``grid.points``.
-    Returns (log_wealth, stochastic_part, drift_part) arrays, one entry
-    per row; with antithetic each is the average of the calls on
-    ``values`` and ``-values``, bit for bit except for the uncapped
-    insider's closed-form pairs.  Raises ForwardError naming the first
-    row whose log wealth is not finite.  ``plan`` defaults to
-    wealth_plan(market, strategy, grid, delta).  ``scratch`` is a flat
-    float array of at least rows * kernel_scratch(plan, pi_cap, antithetic)
-    doubles that the step blocks are gathered into; it defaults to a fresh
-    one, and no returned array shares its memory.  Callers run
-    check_truncation.
+    ``values`` has one row per path, aligned with the points of the plan's
+    grid.  Returns (log_wealth, stochastic_part, drift_part) arrays, one
+    entry per row; when the plan pairs paths each is the average of the
+    calls on ``values`` and ``-values``, bit for bit except for the
+    uncapped insider's closed-form pairs.  Raises ForwardError naming the
+    first row whose log wealth is not finite.  ``scratch`` is a flat float
+    array of at least rows * plan.scratch doubles that the step blocks are
+    gathered into; it defaults to a fresh one, and no returned array
+    shares its memory.  Callers run check_truncation.
     """
-    if plan is None:
-        plan = wealth_plan(market, strategy, grid, delta)
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    size = len(values) * kernel_scratch(plan, pi_cap, antithetic)
+    size = len(values) * plan.scratch
     if scratch is None:
         scratch = np.empty(size)
     blocks = scratch[:size].reshape(-1, len(values), plan.left.size)
     if plan.anchors is None:
         # a deterministic fraction: the gain sums dB*(pi*beta), and the
         # drift is the plan's constant, the same along values and -values
-        if pi_cap is not None:
-            plan = _with_fraction(plan, np.clip(plan.pi, -pi_cap, pi_cap))
         gain = _increments(plan, values, blocks[0], blocks[1])
         gain *= plan.pi_beta
         stochastic = np.sum(gain, axis=1)
         drift = np.full(len(values), plan.const)
-        sides = [(stochastic, drift), (-stochastic, drift)][: 1 + antithetic]
-    elif antithetic and pi_cap is None:
+        sides = [(stochastic, drift), (-stochastic, drift)][: 1 + plan.antithetic]
+    elif plan.antithetic and plan.pi_cap is None:
         # Only the uncapped insider's pairs take the closed form: clipping is
         # not odd-symmetric, and honest or table pairs would collapse to an
         # exact constant whose zero standard error makes every z infinite.
         return _checked(*_insider_pairs(plan, values, blocks))
     else:
-        increments, pis = _insider_fractions(plan, values, pi_cap, antithetic, blocks)
+        increments, pis = _insider_fractions(plan, values, blocks)
         gain = blocks[3]
         sides = []
         for pi, sign in zip(pis, (1.0, -1.0)):
@@ -314,18 +308,17 @@ def log_wealth_matrix(market: MarketCoefficients, strategy: Strategy, grid: Time
     return _checked(*rows)
 
 
-def wealth_trace(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                 values: np.ndarray, delta: float):
-    """(t, pi, running log wealth) along the path ``values``, one row aligned
-    with ``grid.points``: for each base step, its left end, the fraction held
-    over it and the log wealth at its right end."""
-    plan = wealth_plan(market, strategy, grid, delta)
+def wealth_trace(plan: WealthPlan, values: np.ndarray):
+    """(t, pi, running log wealth) along the path ``values``: the base times
+    from 0 to the truncated horizon, the capped fraction held from each one
+    to the next (one fewer) and the log wealth at each, from log x0 on."""
     values = np.asarray(values, dtype=float)[None, :]
     blocks = np.empty((5, 1, plan.left.size))
     if plan.anchors is None:
         pi, increments = plan.pi, _increments(plan, values, blocks[1], blocks[0])
     else:
-        increments, (pi,) = _insider_fractions(plan, values, None, False, blocks)
+        increments, (pi, *_) = _insider_fractions(plan, values, blocks)
     steps = _step_gain(plan, pi, increments, blocks[3])
     steps += _step_drift(plan, pi, blocks[4], increments)
-    return plan.t_left, np.ravel(pi), plan.log_x0 + np.cumsum(steps[0])
+    running = np.concatenate(([plan.log_x0], plan.log_x0 + np.cumsum(steps[0])))
+    return plan.times, np.ravel(pi), running

@@ -27,12 +27,10 @@ from insider_lab.forward_sde import (
     ForwardError,
     WealthPlan,
     check_truncation,
-    kernel_scratch,
     log_wealth_matrix,
     wealth_plan,
 )
 from insider_lab.schedules import ConstantSchedule
-from insider_lab.strategy import MarketCoefficients, Strategy
 
 # target size of one chunk's block of path values, in doubles (1.5 MiB).
 # Each worker thread draws and reduces every chunk of a run inside one
@@ -59,7 +57,6 @@ class McEstimate:
     mean: float
     stderr: float
     n_paths: int
-    ci95: tuple = None
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -68,11 +65,10 @@ class McEstimate:
             raise MonteCarloError("estimate must be finite")
         if self.stderr < 0:
             raise MonteCarloError("standard error cannot be negative")
-        band = (self.mean - 1.96 * self.stderr, self.mean + 1.96 * self.stderr)
-        if self.ci95 is None:
-            object.__setattr__(self, "ci95", band)
-        elif tuple(self.ci95) != band:
-            raise MonteCarloError("ci95 must equal mean +/- 1.96*stderr")
+
+    @property
+    def ci95(self) -> tuple:
+        return (self.mean - 1.96 * self.stderr, self.mean + 1.96 * self.stderr)
 
     def covers(self, value: float) -> bool:
         return self.ci95[0] <= value <= self.ci95[1]
@@ -148,12 +144,11 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int,
     return np.concatenate(_map_in_order(run_chunk, bounds, threads), axis=-1)
 
 
-def _antithetic_log_wealth(cfg: ExperimentConfig, grid: TimeGrid, plan: WealthPlan,
-                           values: np.ndarray, scratch: np.ndarray):
-    """Log wealth of every row, averaged with its negated path when pairing is on."""
-    return log_wealth_matrix(cfg.market, cfg.strategy, grid, values, cfg.delta,
-                             pi_cap=cfg.pi_cap, antithetic=cfg.antithetic, plan=plan,
-                             scratch=scratch)[0]
+def run_plan(cfg: ExperimentConfig, grid: TimeGrid) -> WealthPlan:
+    """The run's plan on ``grid``, once check_truncation has accepted it."""
+    plan = wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta, cfg.pi_cap, cfg.antithetic)
+    check_truncation(plan)
+    return plan
 
 
 def _estimate_from_sample(sample: np.ndarray) -> McEstimate:
@@ -172,12 +167,12 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     """
     threads = _resolve_threads(threads)
     grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
-    plan = wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta)
-    check_truncation(cfg.market, cfg.strategy, grid, cfg.delta, plan=plan)
+    plan = run_plan(cfg, grid)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
+    # values goes by keyword, where bench/tracing.py reads the block's shape
     sample = _run_chunks(units, cfg.master_seed, grid.points,
-                         lambda v, s: _antithetic_log_wealth(cfg, grid, plan, v, s), threads,
-                         kernel_scratch(plan, cfg.pi_cap, cfg.antithetic))
+                         lambda v, s: log_wealth_matrix(plan, values=v, scratch=s)[0],
+                         threads, plan.scratch)
     return _estimate_from_sample(sample)
 
 
@@ -195,22 +190,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
     }
 
 
-def discretized_mean(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
-                     delta: float, *, plan: WealthPlan | None = None) -> float:
+def discretized_mean(plan: WealthPlan) -> float:
     """Closed-form expectation of the discretized log-wealth estimator.
 
     On a fixed grid the estimator's mean is known exactly: the
     stochastic sum contributes nothing for deterministic fractions, so
     their mean is the plan's drift sum plus log x0, while for the
-    look-ahead fraction each term contributes dt/eps (from the squared
-    increment inside the correction) minus half of dt/eps (from the
-    variance penalty), leaving the left Riemann sum of
+    uncapped look-ahead fraction each term contributes dt/eps (from the
+    squared increment inside the correction) minus half of dt/eps (from
+    the variance penalty), leaving the left Riemann sum of
     (alpha/beta)^2/2 + 1/(2 eps).  Used as a control variate and as an
-    oracle for discretization-bias studies.  ``plan`` defaults to
-    wealth_plan(market, strategy, grid, delta).
+    oracle for discretization-bias studies.
     """
-    if plan is None:
-        plan = wealth_plan(market, strategy, grid, delta)
     if plan.anchors is None:
         return plan.const
     rate = 0.5 * (plan.alpha / plan.beta) ** 2 + 0.5 / plan.eps
@@ -249,24 +240,18 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
     threads = _resolve_threads(threads)
     sizes = [cfg.base_points * factor**k for k in range(levels)]
     grids = union_grids(sizes, cfg.schedule, cfg.delta)
-    plans = [wealth_plan(cfg.market, cfg.strategy, g, cfg.delta) for g in grids]
-    for grid, plan in zip(grids, plans):
-        check_truncation(cfg.market, cfg.strategy, grid, cfg.delta, plan=plan)
-    centers = [discretized_mean(cfg.market, cfg.strategy, g, cfg.delta, plan=p)
-               for g, p in zip(grids, plans)]
-    center_avg = float(np.mean(centers))
+    plans = [run_plan(cfg, g) for g in grids]
+    center_avg = float(np.mean([discretized_mean(p) for p in plans]))
 
     def run_chunk(values, scratch):
         # every level's kernel views the same flat scratch in turn
-        per_level = [_antithetic_log_wealth(cfg, g, p, values, scratch)
-                     for g, p in zip(grids, plans)]
+        per_level = [log_wealth_matrix(p, values=values, scratch=scratch)[0] for p in plans]
         control = np.mean(per_level, axis=0) - center_avg
         return np.stack([x - control for x in per_level])
 
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    per_row = max(kernel_scratch(p, cfg.pi_cap, cfg.antithetic) for p in plans)
     stacked = _run_chunks(units, cfg.master_seed, grids[0].points, run_chunk, threads,
-                          per_row)
+                          max(p.scratch for p in plans))
     return [
         RefinementLevel(base_points=n, estimate=_estimate_from_sample(stacked[j]))
         for j, n in enumerate(sizes)
@@ -305,7 +290,7 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
     elif canon in ("terminal_value", "adapted_one"):
         if eps is not None:
             raise MonteCarloError(f"kind {canon!r} takes no eps")
-        grid = TimeGrid(points=np.linspace(0.0, T, base_points), max_horizon=T)
+        grid = TimeGrid(points=np.linspace(0.0, T, base_points))
         per_row = base_points - 1 if canon == "terminal_value" else 0
         analytic = T if canon == "terminal_value" else 0.0
     else:

@@ -107,11 +107,6 @@ class EpsilonSchedule:
         # right endpoint; the kind formulas extend continuously to t = horizon.
         return self._eval_array(np.asarray(t, dtype=float))
 
-    @property
-    def epsilon0(self) -> float:
-        """Initial look-ahead eval(0); reported as metadata only."""
-        return float(self.eval(0.0))
-
 
 def _validate_horizon(T: float) -> None:
     if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):

@@ -106,10 +106,9 @@ def log_wealth(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid, v
                delta: float, pi_cap: float | None = None) -> LogWealthSample:
     """Log wealth of one path at horizon T - delta, refused if check_truncation fails."""
     values = check_path(grid, values)
-    plan = wealth_plan(market, strategy, grid, delta)
-    total, stoch, drift = log_wealth_matrix(market, strategy, grid, values[None, :],
-                                            delta, pi_cap, plan=plan)
-    check_truncation(market, strategy, grid, delta, plan=plan)
+    plan = wealth_plan(market, strategy, grid, delta, pi_cap)
+    total, stoch, drift = log_wealth_matrix(plan, values[None, :])
+    check_truncation(plan)
     return LogWealthSample(
         horizon=market.horizon - delta,
         log_wealth=float(total[0]),

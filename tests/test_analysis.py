@@ -169,11 +169,6 @@ class TestComparisonReport:
         assert math.isinf(rep.z_score)
         assert rep.verdict is Verdict.FAIL
 
-    def test_inconsistent_z_rejected(self):
-        mc = McEstimate(mean=1.1, stderr=0.05, n_paths=100)
-        with pytest.raises(AnalysisError, match="z_score"):
-            ComparisonReport(theory=1.0, mc=mc, delta=0.0, z_score=5.0)
-
 
 class TestGrade:
     def test_report_verdict_follows_grade(self):

@@ -27,18 +27,14 @@ from oracles import check_path, draw, index_of, value_at
 class TestTimeGrid:
     def test_rejects_nonzero_start(self):
         with pytest.raises(GridError, match="start at 0"):
-            TimeGrid(points=np.array([0.1, 1.0]), max_horizon=1.0)
+            TimeGrid(points=np.array([0.1, 1.0]))
 
     def test_rejects_decreasing(self):
         with pytest.raises(GridError, match="strictly increasing"):
-            TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]), max_horizon=1.0)
-
-    def test_rejects_horizon_mismatch(self):
-        with pytest.raises(GridError, match="max_horizon"):
-            TimeGrid(points=np.array([0.0, 1.0]), max_horizon=2.0)
+            TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]))
 
     def test_index_of(self):
-        g = TimeGrid(points=np.array([0.0, 0.5, 1.0]), max_horizon=1.0)
+        g = TimeGrid(points=np.array([0.0, 0.5, 1.0]))
         assert index_of(g, 0.5) == 1
         assert index_of(g, 0.5 + 1e-13) == 1
         with pytest.raises(GridError, match="interpolate"):
@@ -130,14 +126,14 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     def test_value_at_exact_and_off_grid(self):
-        g = TimeGrid(points=np.array([0.0, 0.25, 1.0]), max_horizon=1.0)
+        g = TimeGrid(points=np.array([0.0, 0.25, 1.0]))
         p = draw(g, 11)
         assert value_at(g, p, 0.25) == p[1]
         with pytest.raises(GridError, match="interpolate"):
             value_at(g, p, 0.7)
 
     def test_path_values_must_match_grid(self):
-        g = TimeGrid(points=np.array([0.0, 1.0]), max_horizon=1.0)
+        g = TimeGrid(points=np.array([0.0, 1.0]))
         with pytest.raises(GridError, match="align"):
             check_path(g, np.array([0.0, 1.0, 2.0]))
         with pytest.raises(GridError, match="start at 0"):
@@ -147,7 +143,7 @@ class TestSampling:
         # statistical gate: 1e5 paths, all standardized increments
         # mean within +-0.02, variance within [0.97, 1.03], and disjoint
         # increments uncorrelated within +-0.02
-        g = TimeGrid(points=np.array([0.0, 0.3, 0.55, 1.0, 1.4]), max_horizon=1.4)
+        g = TimeGrid(points=np.array([0.0, 0.3, 0.55, 1.0, 1.4]))
         n, block = 100_000, 10_000
         rows = np.empty((n, 4))
         gaps = np.diff(g.points)

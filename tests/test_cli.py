@@ -157,6 +157,13 @@ class TestCompareAndSweep:
         assert payload["config_digest"] == payload["config_digest"].lower()
         assert len(payload["config_digest"]) == 16
 
+    def test_compare_theory_starts_from_log_x0(self):
+        # the estimate is expected log wealth from x0, and so is the theory
+        proc = run_cli("compare", "--schedule", "const:1", "--strategy", "merton",
+                       "--paths", "400", "--base-points", "256", "--x0", "2", "--strict")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("Pass: theory=0.818147 mc=0.818147")
+
     def test_sweep_reciprocal_window_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
         proc = run_cli("sweep", "--schedule", "powerlaw:q=1", "--alpha", "0",
@@ -229,6 +236,18 @@ class TestDiagnostics:
         assert len(payload["gap_ratios"]) == 1
         assert payload["theory"] == pytest.approx(1.0932522233983162)
         assert payload["verdict"] == "Pass"
+
+    def test_refine_gaps_start_from_log_x0(self, tmp_path):
+        # honest constant coefficients carry no grid bias, so every level
+        # sits on 0.125 + log 2
+        out = tmp_path / "refine.json"
+        proc = run_cli("refine", "--schedule", "const:1", "--strategy", "merton",
+                       "--x0", "2", "--paths", "400", "--base-points", "256",
+                       "--levels", "2", "--factor", "2", "--output", str(out))
+        assert proc.returncode == 0
+        payload = load_payload(out)
+        assert payload["theory"] == pytest.approx(0.125 + math.log(2.0), rel=1e-12)
+        assert all(level["abs_gap"] < 1e-12 for level in payload["levels"])
 
     def test_refine_refuses_pi_cap(self, tmp_path):
         # a binding cap moves every level's mean off the uncapped centres

@@ -8,7 +8,6 @@ from insider_lab.cli import main
 from insider_lab.forward_sde import (
     ForwardError,
     check_truncation,
-    kernel_scratch,
     log_wealth_matrix,
     wealth_plan,
     wealth_trace,
@@ -38,7 +37,7 @@ def flat_strategy(value, horizon=1.0):
 
 
 def make_path(seed=7, n=9, end=1.0):
-    grid = TimeGrid(points=np.linspace(0.0, end, n), max_horizon=end)
+    grid = TimeGrid(points=np.linspace(0.0, end, n))
     return grid, draw(grid, seed)
 
 
@@ -51,7 +50,7 @@ class TestForwardIntegral:
 
     def test_left_endpoint_not_midpoint(self):
         # hand-built path where the evaluation point matters
-        grid = TimeGrid(points=np.array([0.0, 1.0, 2.0]), max_horizon=2.0)
+        grid = TimeGrid(points=np.array([0.0, 1.0, 2.0]))
         path = np.array([0.0, 1.0, 3.0])
         phi = np.array([10.0, 20.0])
         # 10*(1-0) + 20*(3-1); midpoint weighting would give different mass
@@ -205,7 +204,8 @@ class TestMatrixConsistency:
         grid = union_grid(base_points=512, schedule=sched, delta=1e-2)
         path = draw(grid, seed=55)
         strat = InsiderStrategy(schedule=sched)
-        total, stoch, drift = log_wealth_matrix(RIG, strat, grid, path[None, :], 1e-2)
+        total, stoch, drift = log_wealth_matrix(wealth_plan(RIG, strat, grid, 1e-2),
+                                                path[None, :])
         sample = log_wealth(RIG, strat, grid, path, delta=1e-2)
         assert sample.log_wealth == total[0]
         assert sample.stochastic_part == stoch[0]
@@ -216,7 +216,8 @@ class TestMatrixConsistency:
         grid = union_grid(base_points=128, schedule=sched, delta=0.0)
         paths = [draw(grid, seed=mix_seed(8, k)) for k in range(6)]
         block = np.stack(paths)
-        total, _, _ = log_wealth_matrix(RIG, InsiderStrategy(schedule=sched), grid, block, 0.0)
+        plan = wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 0.0)
+        total, _, _ = log_wealth_matrix(plan, block)
         for k, p in enumerate(paths):
             single = log_wealth(RIG, InsiderStrategy(schedule=sched), grid, p, delta=0.0)
             assert total[k] == single.log_wealth
@@ -230,9 +231,10 @@ class TestMatrixConsistency:
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.1)
         block = np.stack([draw(grid, seed=mix_seed(9, k)) for k in range(5)])
-        plus = log_wealth_matrix(market, strat, grid, block, 0.1, pi_cap)
-        minus = log_wealth_matrix(market, strat, grid, -block, 0.1, pi_cap)
-        paired = log_wealth_matrix(market, strat, grid, block, 0.1, pi_cap, antithetic=True)
+        one_sided = wealth_plan(market, strat, grid, 0.1, pi_cap)
+        plus = log_wealth_matrix(one_sided, block)
+        minus = log_wealth_matrix(one_sided, -block)
+        paired = log_wealth_matrix(wealth_plan(market, strat, grid, 0.1, pi_cap, True), block)
         for p, m, avg in zip(plus, minus, paired):
             if strategy == "insider" and pi_cap is None:
                 # the uncapped insider's pairs come from the closed-form pair
@@ -252,12 +254,11 @@ class TestMatrixConsistency:
                  "table": TableStrategy(knots=((0.0, 1.0), (1.0, 4.0)))}[strategy]
         grid = union_grid(base_points=256, schedule=sched, delta=0.1)
         block = np.stack([draw(grid, seed=mix_seed(9, k)) for k in range(5)])
-        plan = wealth_plan(RIG, strat, grid, 0.1)
-        scratch = np.full(5 * kernel_scratch(plan, pi_cap, antithetic), np.nan)
-        fresh = log_wealth_matrix(RIG, strat, grid, block, 0.1, pi_cap, antithetic, plan=plan)
+        plan = wealth_plan(RIG, strat, grid, 0.1, pi_cap, antithetic)
+        scratch = np.full(5 * plan.scratch, np.nan)
+        fresh = log_wealth_matrix(plan, block)
         for _ in range(2):
-            reused = log_wealth_matrix(RIG, strat, grid, block, 0.1, pi_cap, antithetic,
-                                       plan=plan, scratch=scratch)
+            reused = log_wealth_matrix(plan, block, scratch)
             for a, b in zip(fresh, reused):
                 assert np.array_equal(a, b)
                 assert not np.shares_memory(b, scratch)
@@ -269,11 +270,10 @@ class TestMatrixConsistency:
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=2.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.1)
         block = np.stack([draw(grid, seed=mix_seed(9, k)) for k in range(5)])
-        plan = wealth_plan(market, strat, grid, 0.1)
-        paired = log_wealth_matrix(market, strat, grid, block, 0.1, antithetic=True, plan=plan)
+        plan = wealth_plan(market, strat, grid, 0.1, antithetic=True)
+        paired = log_wealth_matrix(plan, block)
         for k in range(5):
-            single = log_wealth_matrix(market, strat, grid, block[k:k + 1], 0.1,
-                                       antithetic=True, plan=plan)
+            single = log_wealth_matrix(plan, block[k:k + 1])
             for whole, one in zip(paired, single):
                 assert whole[k] == one[0]
 
@@ -283,8 +283,8 @@ class TestMatrixConsistency:
         block = np.zeros((3, len(grid.points)))
         block[1, 5] = np.nan
         with pytest.raises(ForwardError, match="row 1") as info:
-            log_wealth_matrix(RIG, InsiderStrategy(schedule=sched), grid, block, 0.0,
-                              antithetic=True)
+            log_wealth_matrix(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 0.0,
+                                          antithetic=True), block)
         assert info.value.row == 1
 
     @pytest.mark.parametrize("antithetic", [False, True])
@@ -297,7 +297,7 @@ class TestMatrixConsistency:
         block = np.zeros((3, len(grid.points)))
         block[1, grid.base_indices[-1]] = np.nan
         with pytest.raises(ForwardError, match="row 1") as info:
-            log_wealth_matrix(RIG, strat, grid, block, 0.0, antithetic=antithetic)
+            log_wealth_matrix(wealth_plan(RIG, strat, grid, 0.0, antithetic=antithetic), block)
         assert info.value.row == 1
 
     def test_non_finite_fraction_names_row(self):
@@ -306,7 +306,7 @@ class TestMatrixConsistency:
         block = np.zeros((3, len(grid.points)))
         block[1, 5] = np.nan
         with pytest.raises(ForwardError, match="row 1"):
-            log_wealth_matrix(RIG, InsiderStrategy(schedule=sched), grid, block, 0.0)
+            log_wealth_matrix(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 0.0), block)
 
     def test_fraction_cap_limits_exposure(self):
         sched = ConstantSchedule(value=0.5, horizon=1.0)
@@ -330,28 +330,28 @@ class TestTruncationRule:
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=1e-4)
         with pytest.raises(ForwardError, match="too coarse"):
-            check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 1e-4)
+            check_truncation(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 1e-4))
 
     def test_fine_tail_accepted(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=4096, schedule=sched, delta=1e-3)
-        check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 1e-3)
+        check_truncation(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 1e-3))
 
     def test_honest_strategy_exempt(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         grid = union_grid(base_points=64, schedule=sched, delta=1e-4)
-        check_truncation(RIG, HonestStrategy(), grid, 1e-4)
+        check_truncation(wealth_plan(RIG, HonestStrategy(), grid, 1e-4))
 
     def test_delta_zero_requires_viable_schedule(self):
         sched = PowerLawSchedule(exponent=1.0, horizon=1.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.0)
         with pytest.raises(ForwardError, match="diverges"):
-            check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 0.0)
+            check_truncation(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 0.0))
 
     def test_delta_zero_fine_for_viable_schedule(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=256, schedule=sched, delta=0.0)
-        check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 0.0)
+        check_truncation(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 0.0))
 
     def test_log_wealth_runs_the_check(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
@@ -366,13 +366,13 @@ class TestTruncationRule:
         sched = PowerLawSchedule(exponent=3.0, horizon=1.0)
         grid = union_grid(base_points=4096, schedule=sched, delta=1e-2)
         with pytest.raises(ForwardError, match="t=0.964719"):
-            check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 1e-2)
+            check_truncation(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 1e-2))
 
     def test_square_law_steps_stay_inside_the_look_ahead(self):
         # the smallest ratio eps(t_j)/dt_j on this grid is 2.29
         sched = PowerLawSchedule(exponent=2.0, horizon=1.0)
         grid = union_grid(base_points=4096, schedule=sched, delta=1e-2)
-        check_truncation(RIG, InsiderStrategy(schedule=sched), grid, 1e-2)
+        check_truncation(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 1e-2))
 
     def test_delta_outside_range_rejected(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
@@ -394,10 +394,11 @@ class TestWealthDump:
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(base_points=32, schedule=sched, delta=0.0)
         path = draw(grid, seed=4)
-        t, pi, running = wealth_trace(RIG, HonestStrategy(), grid, path, 0.0)
+        t, pi, running = wealth_trace(wealth_plan(RIG, HonestStrategy(), grid, 0.0), path)
         sample = log_wealth(RIG, HonestStrategy(), grid, path, delta=0.0)
         assert running[-1] == pytest.approx(sample.log_wealth, rel=1e-10)
-        assert len(t) == len(pi) == len(running) == len(grid.base_indices) - 1
+        # one row per base point; no fraction is held past the last one
+        assert len(t) == len(running) == len(pi) + 1 == len(grid.base_indices)
         # the CLI writes the trace of the run's first path
         lines = _cli_wealth_dump(tmp_path, "--strategy", "merton")
         assert lines[0] == "t,pi,log_wealth"
@@ -414,6 +415,24 @@ class TestWealthDump:
         path = draw(grid, mix_seed(4, 0))
         sample = log_wealth(market, InsiderStrategy(schedule=sched), grid, path, delta=0.0)
         lines = _cli_wealth_dump(tmp_path, "--x0", "2", "--seed", "4")
+        t0, _, start = map(float, lines[1].split(","))
+        assert (t0, start) == (0.0, np.log(2.0))
         assert float(lines[-1].split(",")[2]) == pytest.approx(sample.log_wealth, rel=1e-10)
-        _, _, running = wealth_trace(market, InsiderStrategy(schedule=sched), grid, path, 0.0)
+        plan = wealth_plan(market, InsiderStrategy(schedule=sched), grid, 0.0)
+        _, _, running = wealth_trace(plan, path)
+        assert running[0] == np.log(2.0)
         assert running[-1] == pytest.approx(sample.log_wealth, rel=1e-10)
+
+    @pytest.mark.parametrize("value, strategy, cap", [(1.0, "merton", 1.0),
+                                                      (0.5, "insider", 0.5)])
+    def test_dump_holds_the_capped_fraction(self, tmp_path, value, strategy, cap):
+        lines = _cli_wealth_dump(tmp_path, "--schedule", f"const:{value:g}",
+                                 "--strategy", strategy, "--pi-cap", f"{cap:g}")
+        rows = [line.split(",") for line in lines[1:]]
+        assert rows[-1][1] == ""
+        assert max(abs(float(row[1])) for row in rows[:-1]) <= cap
+        sched = ConstantSchedule(value=value, horizon=1.0)
+        strat = HonestStrategy() if strategy == "merton" else InsiderStrategy(schedule=sched)
+        grid = union_grid(256, sched, 0.0)
+        sample = log_wealth(RIG, strat, grid, draw(grid, mix_seed(42, 0)), 0.0, pi_cap=cap)
+        assert float(rows[-1][2]) == pytest.approx(sample.log_wealth, rel=1e-10)

@@ -1,8 +1,11 @@
 """Engine determinism, estimator oracles and regression slopes."""
 
+import importlib.util
+import inspect
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ import insider_lab.montecarlo as mc
 from insider_lab.brownian import mix_seed, union_grid, union_grids
 from insider_lab.cli import main
 from insider_lab.config import config_digest, to_dict as config_dict
-from insider_lab.forward_sde import ForwardError, check_truncation
+from insider_lab.forward_sde import ForwardError, check_truncation, wealth_plan
 from insider_lab.montecarlo import (
     BatchAbort,
     ExperimentConfig,
@@ -80,13 +83,8 @@ class TestMcEstimate:
         est = McEstimate(mean=1.0, stderr=0.1, n_paths=100)
         assert est.ci95 == (1.0 - 0.196, 1.0 + 0.196)
 
-    def test_inconsistent_band_rejected(self):
-        with pytest.raises(MonteCarloError, match="1.96"):
-            McEstimate(mean=1.0, stderr=0.1, n_paths=100, ci95=(0.5, 1.5))
-
     def test_consistent_band_accepted(self):
-        band = (1.0 - 0.196, 1.0 + 0.196)
-        est = McEstimate(mean=1.0, stderr=0.1, n_paths=100, ci95=band)
+        est = McEstimate(mean=1.0, stderr=0.1, n_paths=100)
         assert est.covers(1.1)
         assert not est.covers(1.5)
 
@@ -189,7 +187,7 @@ class TestEstimateOracles:
     def test_insider_matches_discretized_mean(self):
         cfg = insider_config()
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
-        center = discretized_mean(cfg.market, cfg.strategy, grid, cfg.delta)
+        center = discretized_mean(wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta))
         est = estimate_log_utility(cfg)
         assert abs(est.mean - center) < 3 * est.stderr
         # the continuum value is about 1.09, far above the honest 0.125
@@ -251,11 +249,11 @@ class TestDeterminism:
             results.append(run())
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("pi_cap, step_blocks", [(None, 3), (1e6, 5)])
+    @pytest.mark.parametrize("pi_cap, step_blocks", [(None, 3), (1e6, 4)])
     def test_traced_peak_within_chunk_budget(self, pi_cap, step_blocks):
         # On the rig grid (8192 points, 4095 base steps) a thread's chunk
         # holds one values block of the budget's size and step blocks of half
-        # its width: three for the closed-form pairs, five for the two-pass
+        # its width: three for the closed-form pairs, four for the two-pass
         # kernel.  A quarter block per thread covers the grid and the plan.
         cfg = insider_config(n_paths=512, base_points=4096, pi_cap=pi_cap)
         points = len(union_grid(cfg.base_points, cfg.schedule, cfg.delta).points)
@@ -359,16 +357,29 @@ class TestFailurePropagation:
             estimate_log_utility(cfg)
 
 
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestKernelHook:
     """The kernel is reached through the module attribute the benchmark's
-    tracer wraps, once per chunk per grid, with the values block 4th."""
+    tracer wraps, once per chunk per grid, in a call whose values block the
+    tracer reads."""
 
     def count_calls(self, monkeypatch, run):
         calls = []
         kernel = mc.log_wealth_matrix
+        signature = inspect.signature(kernel)
+        matrix_info = _load_tracing()._matrix_info
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            values = signature.bind(*args, **kwargs).arguments["values"]
+            assert matrix_info(args, kwargs) == list(values.shape)
+            calls.append(values)
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(mc, "_CHUNK_TARGET", 1 << 15)
@@ -469,27 +480,27 @@ class TestDiscretizedMean:
     def test_honest_constant_coefficients(self):
         cfg = honest_config()
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
-        got = discretized_mean(RIG, HonestStrategy(), grid, 0.0)
+        got = discretized_mean(wealth_plan(RIG, HonestStrategy(), grid, 0.0))
         assert got == pytest.approx(0.125, rel=1e-12)
 
     def test_insider_constant_window_has_no_grid_bias(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(512, sched, 0.0)
-        got = discretized_mean(RIG, InsiderStrategy(schedule=sched), grid, 0.0)
+        got = discretized_mean(wealth_plan(RIG, InsiderStrategy(schedule=sched), grid, 0.0))
         assert got == pytest.approx(0.625, rel=1e-12)
 
     def test_flat_table_matches_honest(self):
         cfg = honest_config()
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
         table = TableStrategy(knots=((0.0, 2.5), (1.0, 2.5)))
-        got = discretized_mean(RIG, table, grid, 0.0)
+        got = discretized_mean(wealth_plan(RIG, table, grid, 0.0))
         assert got == pytest.approx(0.125, rel=1e-12)
 
     def test_initial_capital_enters(self):
         market = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0, x0=math.e)
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         grid = union_grid(256, sched, 0.0)
-        got = discretized_mean(market, HonestStrategy(), grid, 0.0)
+        got = discretized_mean(wealth_plan(market, HonestStrategy(), grid, 0.0))
         assert got == pytest.approx(1.125, rel=1e-12)
 
 
@@ -504,7 +515,7 @@ class TestRefinementStudy:
         levels = refinement_study(cfg, levels=2, factor=2)
         for lv in levels:
             grid = union_grid(lv.base_points, cfg.schedule, cfg.delta)
-            center = discretized_mean(cfg.market, cfg.strategy, grid, cfg.delta)
+            center = discretized_mean(wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta))
             est = lv.estimate
             assert est.stderr < 0.01
             assert abs(est.mean - center) < max(4 * est.stderr, 1e-3)
@@ -675,9 +686,10 @@ def test_accepted_insider_configs_average_to_their_grid_mean(cfg):
     # its exact expectation
     grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
     try:
-        check_truncation(cfg.market, cfg.strategy, grid, cfg.delta)
+        plan = wealth_plan(cfg.market, cfg.strategy, grid, cfg.delta)
+        check_truncation(plan)
     except ForwardError:
         assume(False)
     est = estimate_log_utility(cfg, threads=1)
-    exact = discretized_mean(cfg.market, cfg.strategy, grid, cfg.delta)
+    exact = discretized_mean(plan)
     assert abs(est.mean - exact) <= 4 * est.stderr

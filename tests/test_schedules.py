@@ -54,8 +54,8 @@ class TestEval:
         assert np.all(s.eval(t) > 0)
 
     def test_epsilon0_metadata(self):
-        assert PowerLawSchedule(0.5, 1.0).epsilon0 == pytest.approx(1.0)
-        assert ConstantSchedule(0.25, 1.0).epsilon0 == 0.25
+        assert PowerLawSchedule(0.5, 1.0).eval(0.0) == pytest.approx(1.0)
+        assert ConstantSchedule(0.25, 1.0).eval(0.0) == 0.25
 
 
 class TestConstruction:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insider_lab.brownian import GridError, union_grid
-from insider_lab.config import parse_strategy
+from insider_lab.config import from_dict, strategy_literal
 from insider_lab.schedules import ConstantSchedule, PowerLawSchedule
 from insider_lab.strategy import (
     HonestStrategy,
@@ -147,19 +147,23 @@ class TestTableStrategy:
             ts.fraction(0.75)
 
     def test_parse_literals(self, tmp_path):
-        s = ConstantSchedule(1.0, 1.0)
-        assert isinstance(parse_strategy("merton", s), HonestStrategy)
-        ins = parse_strategy("insider", s)
-        assert isinstance(ins, InsiderStrategy) and ins.schedule is s
+        def parse(text):
+            # the CLI's path: the literal's entry, built on the config's schedule
+            return from_dict({"schedule": {"kind": "const", "value": 1.0},
+                              "strategy": strategy_literal(text)})
+
+        assert isinstance(parse("merton").strategy, HonestStrategy)
+        cfg = parse("insider")
+        assert isinstance(cfg.strategy, InsiderStrategy) and cfg.strategy.schedule is cfg.schedule
         prof = tmp_path / "profile.csv"
         prof.write_text("t,pi\n0.0,0.0\n1.0,0.0\n")
-        tab = parse_strategy(f"table:@{prof}", s)
+        tab = parse(f"table:@{prof}").strategy
         assert isinstance(tab, TableStrategy)
         assert tab.fraction(0.5) == 0.0
 
     def test_bad_literal(self):
         with pytest.raises(StrategyError, match="unknown"):
-            parse_strategy("kelly", ConstantSchedule(1.0, 1.0))
+            strategy_literal("kelly")
 
 
 @settings(max_examples=50, deadline=None)
