@@ -41,23 +41,34 @@ class Verdict(Enum):
     FAIL = "Fail"
 
 
-def theoretical_utility(market: MarketCoefficients, schedule: EpsilonSchedule,
-                        delta: float) -> float:
-    """Expected log wealth of the optimal look-ahead portfolio at T - delta.
+def benchmark_value(market: MarketCoefficients, schedule: EpsilonSchedule,
+                    strategy: Strategy, delta: float) -> float:
+    """Expected log wealth of the strategy's optimal portfolio at T - delta.
 
     log x0 plus half of [integral of 1/eps + integral of (alpha/beta)^2]
-    over [0, T - delta].  With delta = 0 the value exists only for viable
-    schedules; divergent ones raise instead of returning infinity so a
-    truncation choice is always explicit.
+    over [0, T - delta], where the honest portfolio has no look-ahead part
+    and ignores the schedule.  With delta = 0 the insider's value exists
+    only for viable schedules; divergent ones raise instead of returning
+    infinity so a truncation choice is always explicit.
     """
     T = market.horizon
-    if abs(schedule.horizon - T) > 1e-12:
+    insider = isinstance(strategy, InsiderStrategy)
+    if not (insider or isinstance(strategy, HonestStrategy)):
+        raise AnalysisError(
+            f"no closed-form benchmark for strategy {describe(strategy)!r}; "
+            "only the honest and look-ahead portfolios have one"
+        )
+    if insider and abs(schedule.horizon - T) > 1e-12:
         raise AnalysisError(
             f"schedule horizon {schedule.horizon} disagrees with market horizon {T}"
         )
     if not 0 <= delta < T:
         raise AnalysisError(f"truncation delta must lie in [0, {T}), got {delta!r}")
-    if delta == 0:
+    if not insider:
+        lookahead_part = 0.0
+    elif delta > 0:
+        lookahead_part = viability_integral(schedule, delta)
+    else:
         report = classify_viability(schedule)
         if report.classification is not Classification.VIABLE:
             raise AnalysisError(
@@ -65,31 +76,7 @@ def theoretical_utility(market: MarketCoefficients, schedule: EpsilonSchedule,
                 "log utility is unbounded; pass delta > 0 for a truncated value"
             )
         lookahead_part = report.integral_value
-    else:
-        lookahead_part = viability_integral(schedule, delta)
     return 0.5 * (lookahead_part + market.squared_ratio_integral(T - delta)) + math.log(market.x0)
-
-
-def honest_utility(market: MarketCoefficients, delta: float) -> float:
-    """Expected log wealth of the drift-to-variance portfolio at T - delta."""
-    if not 0 <= delta < market.horizon:
-        raise AnalysisError(
-            f"truncation delta must lie in [0, {market.horizon}), got {delta!r}"
-        )
-    return 0.5 * market.squared_ratio_integral(market.horizon - delta) + math.log(market.x0)
-
-
-def benchmark_value(market: MarketCoefficients, schedule: EpsilonSchedule,
-                    strategy: Strategy, delta: float) -> float:
-    """Closed-form expected log utility matching the strategy kind."""
-    if isinstance(strategy, HonestStrategy):
-        return honest_utility(market, delta)
-    if isinstance(strategy, InsiderStrategy):
-        return theoretical_utility(market, schedule, delta)
-    raise AnalysisError(
-        f"no closed-form benchmark for strategy {describe(strategy)!r}; "
-        "only the honest and look-ahead portfolios have one"
-    )
 
 
 def grade(diff: float, stderr: float, abs_tol: float = 0.0) -> tuple[float, Verdict]:
@@ -117,10 +104,6 @@ class ComparisonReport:
     delta: float
     abs_tol: float = DEFAULT_ABS_TOL
 
-    def __post_init__(self):
-        if self.abs_tol < 0:
-            raise AnalysisError(f"abs_tol cannot be negative, got {self.abs_tol!r}")
-
     @property
     def z_score(self) -> float:
         return grade(self.mc.mean - self.theory, self.mc.stderr, self.abs_tol)[0]
@@ -135,7 +118,10 @@ class ComparisonReport:
 
 def compare(cfg: ExperimentConfig, abs_tol: float = DEFAULT_ABS_TOL,
             threads: int | None = None) -> ComparisonReport:
-    """Run the estimator and grade it against the closed-form benchmark."""
+    """Run the estimator and grade it against the closed-form benchmark.
+    A negative abs_tol is refused before any path is drawn."""
+    if abs_tol < 0:
+        raise AnalysisError(f"abs_tol cannot be negative, got {abs_tol!r}")
     theory = benchmark_value(cfg.market, cfg.schedule, cfg.strategy, cfg.delta)
     mc = estimate_log_utility(cfg, threads=threads)
     return ComparisonReport(theory=theory, mc=mc, delta=cfg.delta, abs_tol=abs_tol)

@@ -74,14 +74,6 @@ class TimeGrid:
         if np.any(gaps <= 0):
             raise GridError("time grid points must be strictly increasing")
 
-    @property
-    def max_horizon(self) -> float:
-        """The last grid point."""
-        return float(self.points[-1])
-
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def _base_points(base_points: int, horizon: float, delta: float) -> np.ndarray:
     """Two-block base grid on [0, T - delta].
@@ -126,7 +118,7 @@ def union_grids(sizes, schedule: EpsilonSchedule, delta: float) -> list[TimeGrid
         base = _base_points(n, T, delta)
         # the closed-endpoint evaluation: with delta = 0 the base grid ends
         # at T itself, where the kind formulas extend continuously
-        segments += [base, base + schedule._eval_extended(base)]
+        segments += [base, base + schedule._eval_array(base)]
 
     merged = np.concatenate(segments)
     order = np.argsort(merged, kind="stable")

@@ -57,9 +57,8 @@ from insider_lab.forward_sde import wealth_trace
 from insider_lab.montecarlo import (
     BatchAbort,
     _normal_block,
-    bridge_drift_regression,
     duality_check,
-    martingale_gap_check,
+    increment_regression,
     refinement_study,
     run_experiment,
     run_plan,
@@ -483,19 +482,10 @@ def _cmd_drift_check(args):
     for k, ratio in enumerate(ratios):
         h = ratio * args.eps
         # each ratio gets its own derived seed so rows are independent
-        row_seed = mix_seed(args.seed, k)
-        checks = []
-        if ratio <= 1.0:
-            checks.append(("bridge",
-                           bridge_drift_regression(args.t, args.eps, h,
-                                                   args.paths, row_seed),
-                           h / args.eps))
-        if ratio >= 1.0:
-            checks.append(("martingale",
-                           martingale_gap_check(args.t, args.eps, h,
-                                                args.paths, row_seed),
-                           1.0))
-        for kind, res, expected in checks:
+        res = increment_regression(args.t, args.eps, h, args.paths, mix_seed(args.seed, k))
+        expected = min(h, args.eps) / args.eps
+        # ratio 1 lies on both sides of the window: one regression, two rows
+        for kind in ["bridge"] * (ratio <= 1.0) + ["martingale"] * (ratio >= 1.0):
             z, verdict = analysis.grade(res.slope - expected, res.stderr)
             rows.append({"kind": kind, "h_over_eps": ratio, "slope": res.slope,
                          "stderr": res.stderr, "expected": expected,

@@ -132,10 +132,10 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
     T = market.horizon
     if not (0 <= delta < T):
         raise ForwardError(f"truncation delta must lie in [0, {T}), got {delta!r}")
-    if grid.base_indices is not None:
-        sub = np.asarray(grid.base_indices, dtype=np.int64)
-    else:
-        sub = np.flatnonzero(grid.points <= T - delta + 1e-12)
+    if grid.base_indices is None or grid.anchor_indices is None:
+        raise ForwardError("the plan needs a grid carrying base and anchor indices; "
+                           "build it with union_grid")
+    sub = np.asarray(grid.base_indices, dtype=np.int64)
     if sub.size < 2:
         raise ForwardError("no integration steps below the truncated horizon")
     left = sub[:-1]
@@ -158,9 +158,6 @@ def wealth_plan(market: MarketCoefficients, strategy: Strategy, grid: TimeGrid,
         return replace(plan, const=float(np.sum(drift) + log_x0))
     if not isinstance(strategy, InsiderStrategy):
         raise ForwardError(f"unknown strategy type {type(strategy).__name__}")
-    if grid.anchor_indices is None:
-        raise ForwardError("insider strategy needs a grid carrying anchor indices; "
-                           "build it with union_grid")
     eps = strategy.schedule.eval(t_left)
     const = float(np.sum(0.5 * (alpha / beta) ** 2 * dt) + log_x0)
     anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]

@@ -70,9 +70,6 @@ class McEstimate:
     def ci95(self) -> tuple:
         return (self.mean - 1.96 * self.stderr, self.mean + 1.96 * self.stderr)
 
-    def covers(self, value: float) -> bool:
-        return self.ci95[0] <= value <= self.ci95[1]
-
 
 def _resolve_threads(threads) -> int:
     if threads is None:
@@ -107,7 +104,7 @@ def _map_in_order(work, items, threads: int):
         return list(pool.map(work, items))
 
 
-def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int,
+def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int | None,
                 scratch: int = 0) -> np.ndarray:
     """Apply fn to the Brownian values of every chunk of units, in unit order.
 
@@ -121,6 +118,7 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int,
     aborts the whole batch, naming the failing path's seed and unit when
     the error carries a row.
     """
+    threads = _resolve_threads(threads)
     sqrt_gaps = np.sqrt(np.diff(points))
     chunk = min(_chunk_units(len(points)), units)
     bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
@@ -165,7 +163,6 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
     how chunks are scheduled, never what they compute or the order in
     which their results are reduced.
     """
-    threads = _resolve_threads(threads)
     grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
     plan = run_plan(cfg, grid)
     units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
@@ -237,7 +234,6 @@ def refinement_study(cfg: ExperimentConfig, levels: int = 3, factor: int = 4,
         raise MonteCarloError(f"a refinement study needs at least 2 levels, got {levels}")
     if factor < 2:
         raise MonteCarloError(f"refinement factor must be at least 2, got {factor}")
-    threads = _resolve_threads(threads)
     sizes = [cfg.base_points * factor**k for k in range(levels)]
     grids = union_grids(sizes, cfg.schedule, cfg.delta)
     plans = [run_plan(cfg, g) for g in grids]
@@ -276,13 +272,17 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
         raise MonteCarloError(f"need at least 2 paths, got {n_paths}")
     if base_points < 2:
         raise MonteCarloError(f"need at least 2 grid points, got {base_points}")
-    threads = _resolve_threads(threads)
 
     if canon == "constant_lookahead":
         if eps is None or not (math.isfinite(eps) and eps > 0):
             raise MonteCarloError(f"constant_lookahead needs eps > 0, got {eps!r}")
         grid = union_grid(base_points, ConstantSchedule(value=eps, horizon=T), 0.0)
         sub = np.asarray(grid.base_indices, dtype=np.int64)
+        dt = np.diff(grid.points[sub])
+        if eps < dt.max():
+            # a step longer than eps adds only eps to the grid mean, not dt
+            raise MonteCarloError(f"look-ahead eps={eps:.3g} is shorter than the grid step "
+                                  f"{dt.max():.3g}; refine the base grid or enlarge eps")
         left, right = sub[:-1], sub[1:]
         anchors = np.asarray(grid.anchor_indices, dtype=np.int64)[: left.size]
         per_row = 2 * left.size
@@ -340,43 +340,23 @@ def _regress(x: np.ndarray, y: np.ndarray) -> RegressionResult:
     return RegressionResult(slope=slope, stderr=stderr, n_paths=n)
 
 
-def bridge_drift_regression(t: float, eps: float, h: float,
-                            n_paths: int, seed: int) -> RegressionResult:
-    """Slope of B(t+h) - B(t) on B(t+eps) - B(t) for h inside the window.
-
-    Conditionally on the window increment the path behaves like a
-    Brownian bridge, so the population slope is h/eps.
-    """
-    _check_increment_args(t, eps, n_paths)
-    if not (0 < h <= eps):
-        raise MonteCarloError(f"need 0 < h <= eps, got h={h!r}, eps={eps!r}")
-    z = np.random.default_rng(seed).standard_normal((2, n_paths))
-    y = math.sqrt(h) * z[0]
-    x = y + math.sqrt(eps - h) * z[1]
-    return _regress(x, y)
-
-
-def martingale_gap_check(t: float, eps: float, h: float,
+def increment_regression(t: float, eps: float, h: float,
                          n_paths: int, seed: int) -> RegressionResult:
-    """Slope of B(t+h) - B(t) on B(t+eps) - B(t) for h beyond the window.
+    """Slope of B(t+h) - B(t) on the window increment B(t+eps) - B(t).
 
-    The increment past t+eps is independent of the window, so the slope
-    is exactly 1 for every h >= eps; the projection of the future onto
-    the window never grows past the window itself.
+    The two share the increment up to t + min(h, eps) and differ by an
+    independent part, so the slope is min(h, eps)/eps: the bridge drift h/eps
+    inside the window, and exactly 1 beyond it, where the future is a martingale.
     """
-    _check_increment_args(t, eps, n_paths)
-    if not (math.isfinite(h) and h >= eps):
-        raise MonteCarloError(f"need h >= eps, got h={h!r}, eps={eps!r}")
-    z = np.random.default_rng(seed).standard_normal((2, n_paths))
-    x = math.sqrt(eps) * z[0]
-    y = x + math.sqrt(h - eps) * z[1]
-    return _regress(x, y)
-
-
-def _check_increment_args(t: float, eps: float, n_paths: int) -> None:
     if not (math.isfinite(t) and t >= 0):
         raise MonteCarloError(f"start time must be finite and >= 0, got {t!r}")
     if not (math.isfinite(eps) and eps > 0):
         raise MonteCarloError(f"window eps must be positive, got {eps!r}")
     if n_paths < 2:
         raise MonteCarloError(f"need at least 2 paths, got {n_paths}")
+    if not (math.isfinite(h) and h > 0):
+        raise MonteCarloError(f"need finite h > 0, got h={h!r}")
+    m = min(h, eps)
+    z = np.random.default_rng(seed).standard_normal((2, n_paths))
+    shared = math.sqrt(m) * z[0]
+    return _regress(shared + math.sqrt(eps - m) * z[1], shared + math.sqrt(h - m) * z[1])

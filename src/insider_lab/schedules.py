@@ -77,7 +77,7 @@ class ViabilityReport:
 
 
 class EpsilonSchedule:
-    """Base class; concrete kinds implement _eval_array and horizon."""
+    """Base class; kinds implement horizon and _eval_array, unchecked on [0, horizon]."""
 
     horizon: float
 
@@ -101,11 +101,6 @@ class EpsilonSchedule:
             )
         out = self._eval_array(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-    def _eval_extended(self, t: np.ndarray) -> np.ndarray:
-        # Internal: grids and anchor checks need the anchor at the closed
-        # right endpoint; the kind formulas extend continuously to t = horizon.
-        return self._eval_array(np.asarray(t, dtype=float))
 
 
 def _validate_horizon(T: float) -> None:
@@ -132,7 +127,7 @@ def _check_anchor_convergence(schedule: TableSchedule) -> None:
     T = schedule.horizon
     start = 0.875 * T
     t = np.union1d([start, T], [k[0] for k in schedule.knots if start < k[0] < T])
-    gap = t + schedule._eval_extended(t) - T
+    gap = t + schedule._eval_array(t) - T
     tol = 1e-12 * max(1.0, T)
     for side in np.split(np.abs(gap), np.flatnonzero(gap[:-1] * gap[1:] < 0) + 1):
         steps = np.diff(side)
@@ -298,7 +293,7 @@ def regime(schedule: EpsilonSchedule) -> Regime:
     t = np.array([0.0, T])
     if isinstance(schedule, TableSchedule):
         t = np.union1d(t, [k[0] for k in schedule.knots if 0.0 <= k[0] < T])
-    anchors = t + schedule._eval_extended(t)
+    anchors = t + schedule._eval_array(t)
     tol = 1e-12 * max(1.0, T)
     if np.all(anchors >= T - tol):
         return Regime.ABOVE_HORIZON

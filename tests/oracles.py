@@ -158,3 +158,24 @@ def cond_delta_1d(base: float, y: float, eps: float) -> float:
     if log_d < math.log(1e-300):
         return 0.0
     return math.exp(log_d)
+
+
+def bridge_increments(eps: float, h: float, n_paths: int, seed: int):
+    """(window increment, increment to t + h) for h <= eps, the bridge way:
+    B(t+h) - B(t) is drawn first and the rest of the window added to it."""
+    if not 0 < h <= eps:
+        raise ValueError(f"need 0 < h <= eps, got h={h!r}, eps={eps!r}")
+    z = np.random.default_rng(seed).standard_normal((2, n_paths))
+    y = math.sqrt(h) * z[0]
+    return y + math.sqrt(eps - h) * z[1], y
+
+
+def martingale_increments(eps: float, h: float, n_paths: int, seed: int):
+    """(window increment, increment to t + h) for h >= eps, the martingale
+    way: the window increment is drawn first and the independent future
+    past t + eps added to it."""
+    if not h >= eps > 0:
+        raise ValueError(f"need h >= eps > 0, got h={h!r}, eps={eps!r}")
+    z = np.random.default_rng(seed).standard_normal((2, n_paths))
+    x = math.sqrt(eps) * z[0]
+    return x, x + math.sqrt(h - eps) * z[1]

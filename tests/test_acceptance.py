@@ -18,7 +18,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
-from insider_lab.analysis import theoretical_utility
+from insider_lab.analysis import benchmark_value
 from insider_lab.donsker import (
     DonskerParams,
     cond_delta_2d,
@@ -27,10 +27,9 @@ from insider_lab.donsker import (
 )
 from insider_lab.montecarlo import (
     ExperimentConfig,
-    bridge_drift_regression,
     duality_check,
     estimate_log_utility,
-    martingale_gap_check,
+    increment_regression,
     refinement_study,
 )
 from insider_lab.schedules import (
@@ -65,14 +64,15 @@ class TestViableSqrtSchedule:
     def test_truncated_estimate_matches_theory(self):
         sched = PowerLawSchedule(0.5, 1.0)
         est = rig_estimate(MARKET, sched, InsiderStrategy(sched), 1e-3)
-        theory = theoretical_utility(MARKET, sched, 1e-3)
+        theory = benchmark_value(MARKET, sched, InsiderStrategy(sched), 1e-3)
         # 0.5*(2*(1 - sqrt(1e-3)) + 0.25*0.999)
         assert theory == pytest.approx(1.0932522233983162, rel=1e-12)
         assert abs(est.mean - theory) <= max(3 * est.stderr, 0.02)
 
     def test_untruncated_theory_limit(self):
         sched = PowerLawSchedule(0.5, 1.0)
-        assert theoretical_utility(MARKET, sched, 0.0) == pytest.approx(1.125, rel=1e-9)
+        theory = benchmark_value(MARKET, sched, InsiderStrategy(sched), 0.0)
+        assert theory == pytest.approx(1.125, rel=1e-9)
 
 
 class TestConstantWindow:
@@ -197,18 +197,16 @@ class TestConditionalDensityLayer:
 class TestDriftRegressions:
     def test_bridge_slope_inside_the_window(self):
         for ratio in (0.25, 0.5, 1.0):
-            res = bridge_drift_regression(0.5, 0.1, ratio * 0.1, 100_000, 42)
+            res = increment_regression(0.5, 0.1, ratio * 0.1, 100_000, 42)
             assert abs(res.slope - ratio) <= 3 * res.stderr or res.slope == ratio
 
     def test_martingale_slope_beyond_the_window(self):
         for ratio in (1.0, 2.0, 10.0):
-            res = martingale_gap_check(0.5, 0.1, ratio * 0.1, 100_000, 42)
+            res = increment_regression(0.5, 0.1, ratio * 0.1, 100_000, 42)
             assert abs(res.slope - 1.0) <= 3 * res.stderr or res.slope == 1.0
 
     def test_window_boundary_is_exact(self):
-        res = bridge_drift_regression(0.5, 0.1, 0.1, 100_000, 42)
-        assert res.slope == 1.0 and res.stderr == 0.0
-        res = martingale_gap_check(0.5, 0.1, 0.1, 100_000, 42)
+        res = increment_regression(0.5, 0.1, 0.1, 100_000, 42)
         assert res.slope == 1.0 and res.stderr == 0.0
 
 
@@ -241,7 +239,7 @@ class TestRefinementBiasDecay:
                                master_seed=42, antithetic=True)
         levels = refinement_study(cfg, levels=3, factor=4)
         assert [lvl.base_points for lvl in levels] == [1024, 4096, 16384]
-        theory = theoretical_utility(MARKET, sched, 1e-3)
+        theory = benchmark_value(MARKET, sched, InsiderStrategy(sched), 1e-3)
         gaps = [abs(lvl.estimate.mean - theory) for lvl in levels]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert coarse >= 1.5 * fine, gaps

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import insider_lab.montecarlo as mc
 from insider_lab.analysis import (
     AnalysisError,
     ComparisonReport,
@@ -12,9 +13,7 @@ from insider_lab.analysis import (
     benchmark_value,
     compare,
     grade,
-    honest_utility,
     report_dict,
-    theoretical_utility,
     truncation_sweep,
 )
 from insider_lab.cli import main
@@ -29,6 +28,11 @@ from insider_lab.strategy import (
 
 RIG = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0)
 DRIFTLESS = MarketCoefficients(alpha=0.0, beta=0.2, horizon=1.0)
+
+
+def insider_value(market, sched, delta):
+    """The look-ahead portfolio's closed-form benchmark."""
+    return benchmark_value(market, sched, InsiderStrategy(schedule=sched), delta)
 
 
 def insider_cfg(sched, market=RIG, **overrides):
@@ -48,47 +52,47 @@ def insider_cfg(sched, market=RIG, **overrides):
 class TestTheoreticalUtility:
     def test_constant_window_full_horizon(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
-        assert theoretical_utility(RIG, sched, 0.0) == pytest.approx(0.625, rel=1e-12)
+        assert insider_value(RIG, sched, 0.0) == pytest.approx(0.625, rel=1e-12)
 
     def test_square_root_window_full_horizon(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
-        assert theoretical_utility(RIG, sched, 0.0) == pytest.approx(1.125, rel=1e-12)
+        assert insider_value(RIG, sched, 0.0) == pytest.approx(1.125, rel=1e-12)
 
     def test_reciprocal_window_log_truncation(self):
         sched = PowerLawSchedule(exponent=1.0, horizon=1.0)
-        got = theoretical_utility(DRIFTLESS, sched, math.exp(-2))
+        got = insider_value(DRIFTLESS, sched, math.exp(-2))
         assert got == pytest.approx(1.0, rel=1e-7)
 
     def test_below_horizon_window_truncated(self):
         sched = AffineBelowSchedule(slope=0.5, horizon=1.0)
-        got = theoretical_utility(DRIFTLESS, sched, 1e-2)
+        got = insider_value(DRIFTLESS, sched, 1e-2)
         assert got == pytest.approx(math.log(100.0), rel=1e-7)
 
     def test_truncated_value_tracks_quadrature(self):
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
-        got = theoretical_utility(RIG, sched, 1e-3)
+        got = insider_value(RIG, sched, 1e-3)
         want = 0.5 * ((2.0 - 2.0 * math.sqrt(1e-3)) + 0.25 * (1.0 - 1e-3))
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_divergent_schedule_at_zero_rejected(self):
         sched = PowerLawSchedule(exponent=1.0, horizon=1.0)
         with pytest.raises(AnalysisError, match="diverges"):
-            theoretical_utility(RIG, sched, 0.0)
+            insider_value(RIG, sched, 0.0)
 
     def test_below_horizon_at_zero_rejected(self):
         sched = AffineBelowSchedule(slope=0.5, horizon=1.0)
         with pytest.raises(AnalysisError, match="diverges"):
-            theoretical_utility(DRIFTLESS, sched, 0.0)
+            insider_value(DRIFTLESS, sched, 0.0)
 
     def test_horizon_mismatch_rejected(self):
         sched = ConstantSchedule(value=1.0, horizon=2.0)
         with pytest.raises(AnalysisError, match="horizon"):
-            theoretical_utility(RIG, sched, 0.0)
+            insider_value(RIG, sched, 0.0)
 
     def test_delta_out_of_range_rejected(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
         with pytest.raises(AnalysisError, match="delta"):
-            theoretical_utility(RIG, sched, 1.0)
+            insider_value(RIG, sched, 1.0)
 
 
 class TestAdditivityAcrossTruncations:
@@ -97,15 +101,15 @@ class TestAdditivityAcrossTruncations:
         # strip integral; checked against the independent closed form
         sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
         d1, d2 = 1e-2, 1e-3
-        gap = theoretical_utility(RIG, sched, d2) - theoretical_utility(RIG, sched, d1)
+        gap = insider_value(RIG, sched, d2) - insider_value(RIG, sched, d1)
         strip = (math.sqrt(d1) - math.sqrt(d2)) + 0.5 * 0.25 * (d1 - d2)
         assert gap == pytest.approx(strip, rel=1e-6)
 
     def test_divergent_log_growth_is_exact(self):
         sched = PowerLawSchedule(exponent=1.0, horizon=1.0)
         for d in (1e-1, 1e-2):
-            step = theoretical_utility(DRIFTLESS, sched, d / 10) \
-                - theoretical_utility(DRIFTLESS, sched, d)
+            step = insider_value(DRIFTLESS, sched, d / 10) \
+                - insider_value(DRIFTLESS, sched, d)
             assert step >= 0.5 * math.log(10.0) - 1e-6
             assert step == pytest.approx(0.5 * math.log(10.0), rel=1e-6)
 
@@ -121,7 +125,7 @@ class TestBenchmarkSelection:
             alpha={"breaks": [0.0, 0.5], "values": [0.1, 0.2]},
             beta=0.2, horizon=1.0,
         )
-        got = honest_utility(market, 0.0)
+        got = benchmark_value(market, None, HonestStrategy(), 0.0)
         assert got == pytest.approx(0.5 * (0.25 * 0.5 + 1.0 * 0.5), rel=1e-12)
 
     def test_insider_value_uses_schedule(self):
@@ -278,3 +282,15 @@ class TestSerialization:
         assert float(first[0]) == 1e-2
         assert first[5] in ("Pass", "Fail")
         assert float(first[1]) == pytest.approx(reports[0].theory)
+
+
+def test_negative_abs_tol_refused_before_any_path_is_drawn(monkeypatch, capsys):
+    def poisoned(*args, **kwargs):
+        raise AssertionError("a path was drawn before abs_tol was checked")
+
+    monkeypatch.setattr(mc, "_normal_block", poisoned)
+    flags = ["--schedule", "const:1", "--strategy", "merton", "--paths", "400",
+             "--base-points", "256", "--abs-tol", "-1"]
+    assert main(["compare", *flags]) == 1
+    assert main(["sweep", "--deltas", "1e-1,1e-2", *flags]) == 1
+    assert capsys.readouterr().err.count("abs_tol cannot be negative") == 2

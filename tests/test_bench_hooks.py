@@ -2,9 +2,36 @@
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+
+# One traced round of the three estimating commands; the figures go to argv[1].
+ROUND = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[2])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import insider_lab.cli as cli
+rec = tracing.Recorder()
+tracing.install(rec)
+small = ["--paths", "400", "--base-points", "256", "--threads", "1"]
+insider = ["--schedule", "powerlaw:q=0.5", "--delta", "1e-2", *small]
+root = rec.open("round")
+codes = [cli.main(["simulate", *insider]),
+         cli.main(["refine", *insider, "--levels", "2", "--factor", "2"]),
+         cli.main(["compare", "--schedule", "const:1", "--strategy", "merton", *small])]
+rec.close(root)
+figures = tracing.layer_figures(rec.spans, 0, len(rec.spans),
+                                rec.counts.get("montecarlo.chunks", 0))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"codes": codes, "figures": figures}, fh)
+"""
 
 
 def test_every_hooked_attribute_exists():
@@ -18,3 +45,22 @@ def test_every_hooked_attribute_exists():
                if not hasattr(importlib.import_module(f"insider_lab.{module}"), attr)]
     assert hooks
     assert missing == []
+
+
+def test_traced_round_fills_the_per_pair_figures(tmp_path):
+    # the spans must nest as layer_figures expects: the draws inside the
+    # estimate span, the kernel and the theory each in their own; a fresh
+    # interpreter keeps the recording wrappers out of every other test
+    out = tmp_path / "figures.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", ROUND, str(out), str(TRACING)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert result["codes"] == [0, 0, 0]
+    figures = result["figures"]
+    assert figures["montecarlo.self_us_per_pair"] > 0
+    assert figures["forward_sde.log_wealth_calls"] > 0
+    assert figures["analysis.theory_ms"] > 0

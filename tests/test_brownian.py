@@ -46,8 +46,8 @@ class TestUnionGrid:
         g = union_grid(3, ConstantSchedule(0.5, 1.0), 0.0)
         for t in (0.0, 0.5, 1.0, 1.5):
             assert index_of(g, t) >= 0
-        assert len(g) == 4
-        assert g.max_horizon == pytest.approx(1.5)
+        assert len(g.points) == 4
+        assert g.points[-1] == pytest.approx(1.5)
 
     def test_full_lookahead_example(self):
         g = union_grid(2, PowerLawSchedule(1.0, 1.0), 0.5)
@@ -70,7 +70,7 @@ class TestUnionGrid:
         anchors = g.points[g.anchor_indices]
         assert np.all(anchors <= 1.0 + 1e-12)
         # anchors are genuine new points between base points
-        assert len(g) > 64
+        assert len(g.points) > 64
 
     def test_two_block_density(self):
         g = union_grid(4096, ConstantSchedule(1.0, 1.0), 1e-2)
@@ -101,7 +101,7 @@ class TestUnionGrid:
                                            rtol=0, atol=1e-12)
         # every point of the shared set is some level's base or anchor time
         used = np.concatenate([np.r_[g.base_indices, g.anchor_indices] for g in grids])
-        assert np.array_equal(np.unique(used), np.arange(len(grids[0])))
+        assert np.array_equal(np.unique(used), np.arange(len(grids[0].points)))
 
 
 class TestSampling:
@@ -200,6 +200,6 @@ def test_union_grid_always_well_formed(n, delta, q):
     # every anchor is present at its recorded index
     np.testing.assert_allclose(
         g.points[g.anchor_indices],
-        np.minimum(base + s._eval_extended(base), g.max_horizon),
+        np.minimum(base + s._eval_array(base), g.points[-1]),
         atol=1e-9,
     )

@@ -196,6 +196,14 @@ class TestDiagnostics:
         assert proc.returncode == 1
         assert "eps" in proc.stderr
 
+    def test_duality_refuses_a_look_ahead_shorter_than_a_grid_step(self):
+        # each step adds min(eps, dt) to the grid mean, 255 * 0.001 here, so
+        # the analytic value T holds only when eps covers every base step
+        proc = run_cli("duality", "--kind", "constant_lookahead", "--eps", "0.001",
+                       "--base-points", "256", "--paths", "2000", "--strict")
+        assert proc.returncode == 1
+        assert "eps=0.001" in proc.stderr and "step 0.00392" in proc.stderr
+
     def test_donsker_table_rows_satisfy_ratio_identity(self, tmp_path):
         out = tmp_path / "table.csv"
         proc = run_cli("donsker-table", "--eps1", "0.25", "--eps2", "1.0",
@@ -223,6 +231,23 @@ class TestDiagnostics:
         assert rows[1]["slope"] == 1.0 and rows[1]["stderr"] == 0.0
         assert rows[2]["slope"] == 1.0 and rows[2]["stderr"] == 0.0
         assert rows[3]["expected"] == 1.0
+
+    def test_drift_check_ratio_one_prints_both_rows_of_one_regression(self, tmp_path):
+        out = tmp_path / "drift.json"
+        proc = run_cli("drift-check", "--ratios", "1", "--t", "0.2", "--eps", "0.3",
+                       "--paths", "2000", "--seed", "5", "--output", str(out))
+        assert proc.returncode == 0
+        bridge, martingale = load_payload(out)["rows"]
+        assert (bridge["kind"], martingale["kind"]) == ("bridge", "martingale")
+        assert bridge["slope"] == martingale["slope"]
+        assert bridge["stderr"] == martingale["stderr"]
+        assert bridge["expected"] == 1.0 and martingale["expected"] == 1.0
+
+    def test_drift_check_refuses_a_ratio_that_is_not_a_number(self):
+        # nan lies on neither side of the window, so no row would grade it
+        proc = run_cli("drift-check", "--ratios", "nan,0.5", "--paths", "200")
+        assert proc.returncode == 1
+        assert "h=nan" in proc.stderr
 
     def test_refine_reports_levels_and_gap_ratios(self, tmp_path):
         out = tmp_path / "refine.json"

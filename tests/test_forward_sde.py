@@ -381,6 +381,15 @@ class TestTruncationRule:
         with pytest.raises(ForwardError, match="delta"):
             log_wealth(RIG, HonestStrategy(), grid, path, delta=1.5)
 
+    @pytest.mark.parametrize("strategy", [
+        HonestStrategy(), InsiderStrategy(schedule=ConstantSchedule(0.5, 1.0)),
+    ], ids=["honest", "insider"])
+    def test_grid_without_indices_refused(self, strategy):
+        # every plan reads its times through the grid's base and anchor indices
+        grid = TimeGrid(points=np.linspace(0.0, 1.5, 7))
+        with pytest.raises(ForwardError, match="base and anchor indices"):
+            wealth_plan(RIG, strategy, grid, 0.0)
+
 
 def _cli_wealth_dump(tmp_path, *flags):
     out = tmp_path / "wealth.csv"

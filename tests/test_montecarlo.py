@@ -24,11 +24,10 @@ from insider_lab.montecarlo import (
     McEstimate,
     MonteCarloError,
     RegressionResult,
-    bridge_drift_regression,
     discretized_mean,
     duality_check,
     estimate_log_utility,
-    martingale_gap_check,
+    increment_regression,
     refinement_study,
     run_experiment,
 )
@@ -45,6 +44,7 @@ from insider_lab.strategy import (
     MarketCoefficients,
     TableStrategy,
 )
+from oracles import bridge_increments, martingale_increments
 
 RIG = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0)
 
@@ -85,8 +85,8 @@ class TestMcEstimate:
 
     def test_consistent_band_accepted(self):
         est = McEstimate(mean=1.0, stderr=0.1, n_paths=100)
-        assert est.covers(1.1)
-        assert not est.covers(1.5)
+        assert est.ci95[0] <= 1.1 <= est.ci95[1]
+        assert not est.ci95[0] <= 1.5 <= est.ci95[1]
 
     def test_tiny_sample_rejected(self):
         with pytest.raises(MonteCarloError, match="at least 2"):
@@ -453,7 +453,8 @@ class TestCiCalibration:
         hits = 0
         for s in range(100):
             cfg = honest_config(n_paths=400, antithetic=False, master_seed=1000 + s)
-            if estimate_log_utility(cfg).covers(0.125):
+            lo, hi = estimate_log_utility(cfg).ci95
+            if lo <= 0.125 <= hi:
                 hits += 1
         assert 90 <= hits <= 100
 
@@ -603,45 +604,42 @@ class TestDuality:
         assert a.mean == b.mean
 
 
-class TestBridgeRegression:
-    def test_full_window_slope_exactly_one(self):
-        res = bridge_drift_regression(t=0.3, eps=0.2, h=0.2, n_paths=1000, seed=1)
-        assert res.slope == 1.0
-        assert res.stderr == 0.0
-
-    def test_half_window_slope(self):
-        res = bridge_drift_regression(t=0.3, eps=0.2, h=0.1, n_paths=100_000, seed=2)
-        assert abs(res.slope - 0.5) < 3 * res.stderr
+class TestIncrementRegression:
+    @pytest.mark.parametrize("t,eps,h,seed", [
+        (0.3, 0.2, 0.1, 2), (0.0, 0.4, 0.1, 3), (0.0, 0.5, 0.005, 4),
+    ])
+    def test_bridge_slope_inside_the_window(self, t, eps, h, seed):
+        res = increment_regression(t=t, eps=eps, h=h, n_paths=100_000, seed=seed)
+        assert abs(res.slope - h / eps) < 3 * res.stderr
         assert res.stderr < 0.01
 
-    def test_quarter_window_slope(self):
-        res = bridge_drift_regression(t=0.0, eps=0.4, h=0.1, n_paths=100_000, seed=3)
-        assert abs(res.slope - 0.25) < 3 * res.stderr
-
-    def test_vanishing_h_slope_near_zero(self):
-        res = bridge_drift_regression(t=0.0, eps=0.5, h=0.005, n_paths=100_000, seed=4)
-        assert abs(res.slope - 0.01) < 3 * res.stderr
-
-    def test_h_beyond_window_rejected(self):
-        with pytest.raises(MonteCarloError, match="h <= eps"):
-            bridge_drift_regression(t=0.0, eps=0.2, h=0.3, n_paths=100, seed=0)
-
-    def test_zero_h_rejected(self):
-        with pytest.raises(MonteCarloError, match="0 < h"):
-            bridge_drift_regression(t=0.0, eps=0.2, h=0.0, n_paths=100, seed=0)
-
-
-class TestMartingaleGap:
     @pytest.mark.parametrize("ratio", [1.0, 2.0, 10.0])
-    def test_slope_pinned_at_one(self, ratio):
+    def test_slope_pinned_at_one_beyond_the_window(self, ratio):
         eps = 0.1
-        res = martingale_gap_check(t=0.2, eps=eps, h=ratio * eps,
+        res = increment_regression(t=0.2, eps=eps, h=ratio * eps,
                                    n_paths=100_000, seed=6)
         assert abs(res.slope - 1.0) < max(3 * res.stderr, 1e-12)
 
-    def test_h_below_window_rejected(self):
-        with pytest.raises(MonteCarloError, match="h >= eps"):
-            martingale_gap_check(t=0.0, eps=0.2, h=0.1, n_paths=100, seed=0)
+    def test_full_window_slope_exactly_one(self):
+        res = increment_regression(t=0.3, eps=0.2, h=0.2, n_paths=1000, seed=1)
+        assert res.slope == 1.0
+        assert res.stderr == 0.0
+
+    @pytest.mark.parametrize("h", [0.1, 0.2, 0.5])
+    def test_equals_the_bridge_and_martingale_constructions(self, h):
+        # one construction for both sides: at h = eps it is both of them
+        eps, want = 0.2, []
+        if h <= eps:
+            want.append(bridge_increments(eps, h, 5000, 9))
+        if h >= eps:
+            want.append(martingale_increments(eps, h, 5000, 9))
+        got = increment_regression(t=0.0, eps=eps, h=h, n_paths=5000, seed=9)
+        for x, y in want:
+            assert got == mc._regress(x, y)
+
+    def test_zero_h_rejected(self):
+        with pytest.raises(MonteCarloError, match="h > 0"):
+            increment_regression(t=0.0, eps=0.2, h=0.0, n_paths=100, seed=0)
 
     def test_degenerate_regressor_detected(self):
         from insider_lab.montecarlo import _regress
@@ -650,7 +648,7 @@ class TestMartingaleGap:
             _regress(np.zeros(10), np.zeros(10))
 
     def test_result_reports_sample_size(self):
-        res = martingale_gap_check(t=0.0, eps=0.1, h=0.2, n_paths=5000, seed=8)
+        res = increment_regression(t=0.0, eps=0.1, h=0.2, n_paths=5000, seed=8)
         assert res.n_paths == 5000
         assert isinstance(res, RegressionResult)
 

@@ -101,7 +101,7 @@ class TestInsider:
         # identical noise at t and anchor: correction vanishes
         s = ConstantSchedule(0.5, 1.0)
         g = union_grid(5, s, 0.0)
-        frozen = np.zeros(len(g))
+        frozen = np.zeros(len(g.points))
         assert insider_optimal(RIG, s, g, frozen, 0.5) == pytest.approx(2.5)
 
     def test_two_routes_agree(self):
