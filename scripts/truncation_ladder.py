@@ -3,50 +3,40 @@
 
 For a schedule whose look-ahead integral diverges at the horizon, the
 achievable expected log utility grows like half the truncated integral.
-This script tabulates Monte Carlo estimates against that closed form
-over a ladder of truncation levels, so the logarithmic divergence is
-visible line by line.
+This script tabulates ``insider-lab sweep`` over a truncation ladder, so
+the divergence shows line by line; any ``sweep`` flag overrides DEFAULTS.
 """
 
-import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
 
-from insider_lab.analysis import truncation_sweep
-from insider_lab.config import ExperimentConfig, parse_schedule
-from insider_lab.strategy import InsiderStrategy, MarketCoefficients
+from insider_lab import cli
+
+DEFAULTS = ["--schedule", "powerlaw:q=1", "--alpha", "0", "--paths", "20000",
+            "--deltas", "0.2,0.1,0.05,0.02,0.01", "--abs-tol", "0.05"]
 
 
-def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--schedule", default="powerlaw:q=1",
-                        help="look-ahead literal (default powerlaw:q=1)")
-    parser.add_argument("--alpha", type=float, default=0.0)
-    parser.add_argument("--beta", type=float, default=0.2)
-    parser.add_argument("--T", type=float, default=1.0)
-    parser.add_argument("--paths", type=int, default=20000)
-    parser.add_argument("--base-points", type=int, default=4096)
-    parser.add_argument("--deltas", default="0.2,0.1,0.05,0.02,0.01",
-                        help="comma-separated truncation ladder, decreasing")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--abs-tol", type=float, default=0.05)
-    args = parser.parse_args()
-
-    deltas = [float(x) for x in args.deltas.split(",") if x.strip()]
-    schedule = parse_schedule(args.schedule, args.T)
-    market = MarketCoefficients(alpha=args.alpha, beta=args.beta, horizon=args.T)
-    cfg = ExperimentConfig(market=market, schedule=schedule,
-                           strategy=InsiderStrategy(schedule),
-                           n_paths=args.paths, base_points=args.base_points,
-                           delta=deltas[0], master_seed=args.seed)
-
-    reports = truncation_sweep(cfg, deltas, abs_tol=args.abs_tol)
-    print(f"{'delta':>8} {'theory':>10} {'mc mean':>10} {'stderr':>9} "
-          f"{'z':>7}  verdict")
+def main(argv=None) -> int:
+    flags = [*DEFAULTS, *(sys.argv[1:] if argv is None else argv)]
+    if {"-h", "--help"} & set(flags):
+        return cli.main(["sweep", "--help"])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.json"
+        with contextlib.redirect_stdout(io.StringIO()):  # the summary line
+            code = cli.main(["sweep", *flags, "--output", str(out), "--format", "json"])
+        if not out.exists():
+            return code
+        reports = json.loads(out.read_text())["reports"]
+    print("   delta     theory    mc mean    stderr       z  verdict")
     for rep in reports:
-        print(f"{rep.delta:>8g} {rep.theory:>10.4f} {rep.mc.mean:>10.4f} "
-              f"{rep.mc.stderr:>9.1e} {rep.z_score:>+7.2f}  {rep.verdict.value}")
+        print(f"{rep['delta']:>8g} {rep['theory']:>10.4f} {rep['mean']:>10.4f} "
+              f"{rep['stderr']:>9.1e} {rep['z_score']:>+7.2f}  {rep['verdict']}")
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -119,9 +119,9 @@ class ComparisonReport:
 def compare(cfg: ExperimentConfig, abs_tol: float = DEFAULT_ABS_TOL,
             threads: int | None = None) -> ComparisonReport:
     """Run the estimator and grade it against the closed-form benchmark.
-    A negative abs_tol is refused before any path is drawn."""
-    if abs_tol < 0:
-        raise AnalysisError(f"abs_tol cannot be negative, got {abs_tol!r}")
+    A negative or non-finite abs_tol is refused before any path is drawn."""
+    if not 0 <= abs_tol < math.inf:
+        raise AnalysisError(f"abs_tol cannot be negative or non-finite, got {abs_tol!r}")
     theory = benchmark_value(cfg.market, cfg.schedule, cfg.strategy, cfg.delta)
     mc = estimate_log_utility(cfg, threads=threads)
     return ComparisonReport(theory=theory, mc=mc, delta=cfg.delta, abs_tol=abs_tol)
@@ -133,16 +133,15 @@ def truncation_sweep(cfg: ExperimentConfig, deltas, abs_tol: float = DEFAULT_ABS
 
     Benchmarks of a divergent schedule grow as delta shrinks; a viable
     schedule's benchmarks settle toward the delta = 0 value instead.
+    Every level's config is built, and so checked, before any path is drawn.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
         raise AnalysisError("sweep needs at least one delta")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise AnalysisError(f"deltas must be strictly decreasing, got {deltas}")
-    return [
-        compare(replace(cfg, delta=d), abs_tol=abs_tol, threads=threads)
-        for d in deltas
-    ]
+    levels = [replace(cfg, delta=d) for d in deltas]
+    return [compare(level, abs_tol=abs_tol, threads=threads) for level in levels]
 
 
 def report_dict(report: ComparisonReport) -> dict:

@@ -3,11 +3,11 @@
 Eight subcommands cover the workflow end to end: classify a look-ahead
 schedule (``viability``), estimate expected log utility (``simulate``),
 grade an estimate against its closed form (``compare`` and ``sweep``),
-track discretization bias on nested grids (``refine``), check the
-forward-integral expectation identities (``duality``), tabulate the
-conditional-density layer (``donsker-table``) and regress conditional
-increment drifts (``drift-check``).  This module writes every result
-file; each command ends in ``_emit``.
+track discretization bias on successively finer grids (``refine``),
+check the forward-integral expectation identities (``duality``),
+tabulate the conditional-density layer (``donsker-table``) and regress
+conditional increment drifts (``drift-check``).  This module writes
+every result file; each command ends in ``_emit``.
 
 Experiment commands read an optional JSON config file; inline flags win
 over file values and unknown file keys are hard errors.  A config
@@ -28,10 +28,11 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
-from insider_lab import analysis
+from insider_lab import analysis, montecarlo
 from insider_lab.brownian import mix_seed, union_grid
 from insider_lab.config import (
     MARKET_DEFAULTS,
@@ -56,11 +57,10 @@ from insider_lab.donsker import (
 from insider_lab.forward_sde import wealth_trace
 from insider_lab.montecarlo import (
     BatchAbort,
-    _normal_block,
     duality_check,
+    first_path,
     increment_regression,
     refinement_study,
-    run_experiment,
     run_plan,
 )
 from insider_lab.schedules import QuadratureError, classify_viability, viability_integral
@@ -178,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("refine",
-                       help="re-estimate on nested grids and track bias decay")
+                       help="re-estimate on successively finer grids drawn on one "
+                            "shared union grid and track bias decay")
     _add_experiment_flags(p)
     p.add_argument("--levels", type=int, default=3,
-                   help="number of nested grid levels (default 3)")
+                   help="number of grid levels, each finer than the last (default 3)")
     p.add_argument("--factor", type=int, default=4,
                    help="grid growth factor between levels (default 4)")
     p.add_argument("--min-ratio", type=float,
@@ -355,27 +356,28 @@ def _cmd_viability(args):
 
 def _cmd_simulate(args):
     cfg = _build_config(args)
-    result = run_experiment(cfg, threads=_threads_from(args))
+    start = time.perf_counter()
+    # called through its module, where bench/tracing.py wraps the estimate
+    est = montecarlo.estimate_log_utility(cfg, threads=_threads_from(args))
+    wall, digest = time.perf_counter() - start, config_digest(cfg)
     if args.dump_path or args.dump_wealth:
-        # the run's first path, drawn as the estimate drew it
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
-        values = _normal_block([mix_seed(cfg.master_seed, 0)],
-                               np.sqrt(np.diff(grid.points)))[0]
+        values = first_path(grid.points, cfg.master_seed)
         if args.dump_path:
             _write_csv(args.dump_path, ["t", "B"], zip(grid.points, values))
         if args.dump_wealth:
             # no fraction is held past the last base time: its pi cell stays empty
             _write_csv(args.dump_wealth, ["t", "pi", "log_wealth"], itertools.zip_longest(
                 *wealth_trace(run_plan(cfg, grid), values), fillvalue=""))
-    return _emit(args, {"command": "simulate", "config": to_dict(cfg), **result},
+    payload = {"command": "simulate", "config": to_dict(cfg), "config_digest": digest,
+               "mean": est.mean, "stderr": est.stderr, "ci95": list(est.ci95),
+               "n_paths": est.n_paths, "wall_time_s": wall}
+    return _emit(args, payload,
                  ["config_digest", "mean", "stderr", "ci_lo", "ci_hi", "n_paths",
                   "wall_time_s"],
-                 [[result["config_digest"], result["mean"], result["stderr"],
-                   result["ci95"][0], result["ci95"][1], f'{result["n_paths"]}',
-                   result["wall_time_s"]]],
-                 f"mean={result['mean']:.6f} stderr={result['stderr']:.6f} "
-                 f"n={result['n_paths']} digest={result['config_digest']} "
-                 f"wall={result['wall_time_s']:.2f}s")
+                 [[digest, est.mean, est.stderr, *est.ci95, f"{est.n_paths}", wall]],
+                 f"mean={est.mean:.6f} stderr={est.stderr:.6f} n={est.n_paths} "
+                 f"digest={digest} wall={wall:.2f}s")
 
 
 def _cmd_compare(args):
@@ -406,6 +408,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_refine(args):
+    if args.min_ratio is not None and not 0 < args.min_ratio < math.inf:
+        raise CliError(f"--min-ratio must be finite and positive, got {args.min_ratio!r}")
     cfg = _build_config(args)
     theory = analysis.benchmark_value(cfg.market, cfg.schedule, cfg.strategy,
                                       cfg.delta)

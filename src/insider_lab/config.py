@@ -143,6 +143,19 @@ def _number(value, what: str, error: type = MonteCarloError) -> float:
         raise error(f"{what} must be a number, got {value!r}") from None
 
 
+def _coefficient_entry(value, what: str):
+    """A market coefficient: a number, or {"breaks", "values"} lists of numbers."""
+    if not isinstance(value, dict):
+        return _number(value, what)
+    try:
+        if set(value) == {"breaks", "values"}:
+            return {k: [_real(x) for x in value[k]] for k in ("breaks", "values")}
+    except (TypeError, ValueError):
+        pass
+    raise MonteCarloError(f"{what} must be a number or breaks and values lists of "
+                          f"numbers, got {value!r}")
+
+
 def _knots(value, what: str, error: type) -> tuple[tuple[float, float], ...]:
     try:
         return tuple((_real(t), _real(v)) for t, v in value)
@@ -247,6 +260,7 @@ def from_dict(data: dict) -> ExperimentConfig:
     _reject_unknown(market, [f.name for f in fields(MarketCoefficients)], "market")
     market = {**MARKET_DEFAULTS, **market}
     reals = {k: _number(market[k], f"market {k}") for k in ("horizon", "x0") if k in market}
+    coefficients = {k: _coefficient_entry(market[k], f"market {k}") for k in ("alpha", "beta")}
     if "schedule" not in data:
         raise MonteCarloError("a look-ahead schedule is required: the config has no "
                               "'schedule' entry")
@@ -260,7 +274,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         raise MonteCarloError(f"config key 'antithetic' must be true or false, "
                               f"got {settings['antithetic']!r}")
     return ExperimentConfig(
-        market=MarketCoefficients(alpha=market["alpha"], beta=market["beta"], **reals),
+        market=MarketCoefficients(**coefficients, **reals),
         schedule=schedule,
         strategy=_strategy(data.get("strategy", STRATEGY_DEFAULT), schedule),
         **settings,

@@ -176,7 +176,7 @@ def _checked(total: np.ndarray, stochastic: np.ndarray, drift: np.ndarray):
     return total, stochastic, drift
 
 
-def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+def gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """values[:, index] in ``out``.  With mode="clip" take() writes straight
     into ``out``; the default mode buffers a whole block first.  The block is
     C-ordered, which keeps the later row sums independent of how many rows
@@ -187,8 +187,8 @@ def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarra
 def _increments(plan: WealthPlan, values: np.ndarray, out: np.ndarray,
                 left: np.ndarray) -> np.ndarray:
     """dB per base step in ``out``; ``left`` keeps B at each step's left end."""
-    _gather(values, plan.left, left)
-    _gather(values, plan.right, out)
+    gather(values, plan.left, left)
+    gather(values, plan.right, out)
     out -= left
     return out
 
@@ -199,7 +199,7 @@ def _insider_fractions(plan: WealthPlan, values: np.ndarray, blocks: np.ndarray)
     pairs paths, along ``-values``."""
     pi, increments, correction = blocks[:3]
     _increments(plan, values, increments, pi)
-    _gather(values, plan.anchors, correction)
+    gather(values, plan.anchors, correction)
     np.subtract(pi, correction, out=correction)
     correction /= plan.beta * plan.eps
     pis = [np.subtract(plan.pi, correction, out=pi)]
@@ -245,7 +245,7 @@ def _insider_pairs(plan: WealthPlan, values: np.ndarray, blocks: np.ndarray):
     """
     left, r, gain = blocks[:3]
     _increments(plan, values, gain, left)
-    _gather(values, plan.anchors, r)
+    gather(values, plan.anchors, r)
     r -= left
     r *= plan.inv_eps
     gain *= r

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -22,11 +21,12 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from insider_lab.brownian import TimeGrid, mix_seed, union_grid, union_grids
-from insider_lab.config import ExperimentConfig, MonteCarloError, config_digest
+from insider_lab.config import ExperimentConfig, MonteCarloError
 from insider_lab.forward_sde import (
     ForwardError,
     WealthPlan,
     check_truncation,
+    gather,
     log_wealth_matrix,
     wealth_plan,
 )
@@ -95,6 +95,11 @@ def _normal_block(seeds, sqrt_gaps: np.ndarray, out: np.ndarray | None = None) -
     np.multiply(steps, sqrt_gaps, out=steps)
     np.cumsum(steps, axis=1, out=steps)
     return values
+
+
+def first_path(points: np.ndarray, seed: int) -> np.ndarray:
+    """The Brownian values of a run's unit 0 at ``points``, as its first chunk draws them."""
+    return _normal_block([mix_seed(seed, 0)], np.sqrt(np.diff(points)))[0]
 
 
 def _map_in_order(work, items, threads: int):
@@ -171,20 +176,6 @@ def estimate_log_utility(cfg: ExperimentConfig, threads: int | None = None) -> M
                          lambda v, s: log_wealth_matrix(plan, values=v, scratch=s)[0],
                          threads, plan.scratch)
     return _estimate_from_sample(sample)
-
-
-def run_experiment(cfg: ExperimentConfig, threads: int | None = None) -> dict:
-    """Estimate and wrap the result in its serializable record."""
-    start = time.perf_counter()
-    est = estimate_log_utility(cfg, threads=threads)
-    return {
-        "config_digest": config_digest(cfg),
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "ci95": [est.ci95[0], est.ci95[1]],
-        "n_paths": est.n_paths,
-        "wall_time_s": time.perf_counter() - start,
-    }
 
 
 def discretized_mean(plan: WealthPlan) -> float:
@@ -301,13 +292,10 @@ def duality_check(kind: str, T: float, n_paths: int, base_points: int, seed: int
 
     def run_chunk(values, scratch):
         if canon == "constant_lookahead":
-            # take() gathers into C layout, so the row sums do not depend
-            # on how many rows ride along; mode="clip" writes straight
-            # into the scratch instead of buffering a block
             inc, other = scratch.reshape(2, len(values), -1)
-            np.take(values, right, axis=1, out=inc, mode="clip")
-            inc -= np.take(values, left, axis=1, out=other, mode="clip")
-            inc *= np.take(values, anchors, axis=1, out=other, mode="clip")
+            gather(values, right, inc)
+            inc -= gather(values, left, other)
+            inc *= gather(values, anchors, other)
             return np.sum(inc, axis=1)
         if canon == "terminal_value":
             inc = scratch.reshape(len(values), -1)

@@ -284,13 +284,42 @@ class TestSerialization:
         assert float(first[1]) == pytest.approx(reports[0].theory)
 
 
-def test_negative_abs_tol_refused_before_any_path_is_drawn(monkeypatch, capsys):
+@pytest.fixture
+def no_draws(monkeypatch):
     def poisoned(*args, **kwargs):
-        raise AssertionError("a path was drawn before abs_tol was checked")
+        raise AssertionError("a path was drawn before the input was checked")
 
     monkeypatch.setattr(mc, "_normal_block", poisoned)
+
+
+def test_negative_abs_tol_refused_before_any_path_is_drawn(no_draws, capsys):
     flags = ["--schedule", "const:1", "--strategy", "merton", "--paths", "400",
              "--base-points", "256", "--abs-tol", "-1"]
     assert main(["compare", *flags]) == 1
     assert main(["sweep", "--deltas", "1e-1,1e-2", *flags]) == 1
     assert capsys.readouterr().err.count("abs_tol cannot be negative") == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_abs_tol_refused_before_any_path_is_drawn(no_draws, capsys, tol):
+    # NaN would grade like 0 and write invalid JSON; inf would pass every run
+    flags = ["--schedule", "const:1", "--strategy", "merton", "--paths", "400",
+             "--base-points", "256", "--abs-tol", tol]
+    assert main(["compare", *flags]) == 1
+    assert main(["sweep", "--deltas", "1e-1,1e-2", *flags]) == 1
+    assert capsys.readouterr().err.count(f"non-finite, got {tol}") == 2
+
+
+@pytest.mark.parametrize("deltas", ["1e-1,nan", "1e-1,-1"])
+def test_sweep_refuses_a_later_delta_before_any_path_is_drawn(no_draws, capsys, deltas):
+    assert main(["sweep", "--schedule", "powerlaw:q=1", "--alpha", "0", "--paths", "400",
+                 "--base-points", "256", "--deltas", deltas]) == 1
+    assert "truncation delta must lie in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ratio", ["-1", "0", "nan", "inf"])
+def test_refine_refuses_a_min_ratio_before_any_path_is_drawn(no_draws, capsys, ratio):
+    # -1 or 0 would pass any gaps, nan would fail them all under --strict
+    assert main(["refine", "--schedule", "const:1", "--paths", "400", "--base-points",
+                 "256", "--levels", "2", "--min-ratio", ratio, "--strict"]) == 1
+    assert "--min-ratio must be finite and positive" in capsys.readouterr().err

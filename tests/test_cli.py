@@ -72,7 +72,9 @@ class TestSimulate:
         assert run_cli(*args, "--output", str(first)).returncode == 0
         assert run_cli(*args, "--output", str(second)).returncode == 0
         pa, pb = load_payload(first), load_payload(second)
-        pa.pop("wall_time_s"), pb.pop("wall_time_s")
+        assert pa.pop("wall_time_s") > 0 and pb.pop("wall_time_s") > 0
+        assert set(pa) == {"command", "config", "config_digest", "mean", "stderr",
+                           "ci95", "n_paths"}
         assert pa == pb
         assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
 
@@ -352,6 +354,12 @@ class TestExitCodes:
         ({"delta": "0.1"}, "delta"),
         ({"schedule": {"kind": "const", "value": "1"}}, "value"),
         ({"pi_cap": True}, "pi_cap"),
+        ({"market": {"alpha": True}}, "market alpha"),
+        ({"market": {"alpha": "0.1"}}, "market alpha"),
+        ({"market": {"alpha": {"breaks": [0, "0.5"], "values": [0.1, 0.2]}}}, "market alpha"),
+        ({"market": {"alpha": {"breaks": [0, 0.5], "values": [0.1, True]}}}, "market alpha"),
+        ({"market": {"beta": None}}, "market beta"),
+        ({"market": {"beta": {"breaks": [0], "values": [0.2], "k": 1}}}, "market beta"),
     ])
     def test_bad_config_entry_is_refused(self, tmp_path, overrides, offender):
         cfg_file = tmp_path / "bad.json"

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from insider_lab.cli import build_parser, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -35,6 +37,19 @@ def test_truncation_ladder_prints_one_row_per_delta():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["delta", "theory", "mc", "mean", "stderr", "z", "verdict"]
     assert [line.split()[0] for line in lines[1:]] == ["0.2", "0.1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--deltas", "a"], "--deltas must be comma-separated numbers"),
+    (["--deltas", ","], "--deltas needs at least one value"),
+    (["--paths", "201"], "antithetic pairing needs an even n_paths"),
+    (["--schedule", "table:@missing.csv"], "missing.csv"),
+])
+def test_truncation_ladder_reports_bad_input_as_the_cli_does(argv, message):
+    proc = run_script("truncation_ladder.py", *argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_acceptance_invokes_only_flags_the_cli_parses(monkeypatch, tmp_path):
