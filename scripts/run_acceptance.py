@@ -1,122 +1,22 @@
 #!/usr/bin/env python3
-"""Run every acceptance gate as its documented command-line invocation.
+"""Run every acceptance gate: the full-rig checks of tests/test_acceptance.py.
 
-Each gate shells out to ``python -m insider_lab`` exactly as a user
-would type it.  Two gates need more than one invocation: the
-conditional-density layer runs through pytest (its oracles are
-quadrature checks that live in the test suite), and the determinism
-gate re-runs a full estimate under two thread counts and diffs the JSON
-outputs.  Expect a few minutes at the full 200000-path rig.
+The gates are defined once, in that test module, where each one grades
+an estimate, an identity or a regression against its closed form at a
+stated config, seed and tolerance.  This script runs the module through
+pytest in a subprocess and exits with pytest's code, so it works from
+any directory.  Expect a few minutes at the full 200000-path rig.
 """
 
-import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-PKG = [sys.executable, "-m", "insider_lab"]
-RIG = ["--paths", "200000", "--base-points", "4096", "--seed", "42"]
-
-results = []
-
-
-def run(label, argv, expect=None):
-    """Run one CLI invocation; optionally require a phrase in stdout."""
-    print(f"\n[{label}] $ insider-lab {' '.join(argv)}")
-    proc = subprocess.run([*PKG, *argv], capture_output=True, text=True)
-    sys.stdout.write(proc.stdout)
-    sys.stderr.write(proc.stderr)
-    ok = proc.returncode == 0
-    if ok and expect is not None:
-        ok = expect in proc.stdout
-        if not ok:
-            print(f"  expected {expect!r} in the output above")
-    results.append((label, ok))
-    return ok
-
-
-def check(label, ok, detail=""):
-    print(f"\n[{label}] {detail}")
-    results.append((label, ok))
-    return ok
+GATES = Path(__file__).resolve().parent.parent / "tests" / "test_acceptance.py"
 
 
 def main():
-    tmp = Path(tempfile.mkdtemp(prefix="acceptance_"))
-
-    run("1 honest baseline",
-        ["compare", "--schedule", "const:1", "--strategy", "merton",
-         "--abs-tol", "0.005", "--strict", *RIG])
-
-    run("2 viable sqrt schedule",
-        ["compare", "--schedule", "powerlaw:q=0.5", "--delta", "1e-3",
-         "--abs-tol", "0.02", "--strict", *RIG])
-
-    run("3 constant window",
-        ["compare", "--schedule", "const:1", "--abs-tol", "0.01",
-         "--strict", *RIG])
-
-    sweep4 = tmp / "sweep4.json"
-    run("4 divergent ladder",
-        ["sweep", "--schedule", "powerlaw:q=1", "--alpha", "0",
-         "--deltas", "1e-1,1e-2", "--abs-tol", "0.03", "--strict",
-         "--output", str(sweep4), *RIG])
-    reports = json.loads(sweep4.read_text())["reports"]
-    gain = reports[1]["mean"] - reports[0]["mean"]
-    check("4 log growth", gain >= 1.0, f"delta step gains {gain:.3f} (needs >= 1.0)")
-
-    run("5 below-horizon class",
-        ["viability", "--schedule", "affine_below:c=0.5", "--T", "1"],
-        expect="NotViableBelowHorizon")
-    run("5 below-horizon ladder",
-        ["sweep", "--schedule", "affine_below:c=0.5", "--alpha", "0",
-         "--deltas", "1e-1,1e-2", "--abs-tol", "0.05", "--strict",
-         "--output", str(tmp / "sweep5.json"), *RIG])
-
-    run("6 duality lookahead",
-        ["duality", "--kind", "constant_lookahead", "--eps", "0.5",
-         "--strict", *RIG])
-    run("6 duality terminal",
-        ["duality", "--kind", "terminal_value", "--strict", *RIG])
-
-    print("\n[7 density layer] $ pytest tests/test_acceptance.py "
-          "-k TestConditionalDensityLayer")
-    proc = subprocess.run([sys.executable, "-m", "pytest",
-                           "tests/test_acceptance.py",
-                           "-k", "TestConditionalDensityLayer", "-q"])
-    results.append(("7 density layer", proc.returncode == 0))
-
-    run("8 drift regressions",
-        ["drift-check", "--ratios", "0.25,0.5,1,2,10", "--paths", "100000",
-         "--seed", "42", "--strict"])
-
-    out1, out8 = tmp / "threads1.json", tmp / "threads8.json"
-    base9 = ["simulate", "--schedule", "powerlaw:q=0.5", "--delta", "1e-3", *RIG]
-    run("9 run threads=1", [*base9, "--threads", "1", "--output", str(out1)])
-    run("9 run threads=8", [*base9, "--threads", "8", "--output", str(out8)])
-    pa = json.loads(out1.read_text())
-    pb = json.loads(out8.read_text())
-    pa.pop("wall_time_s"), pb.pop("wall_time_s")
-    same = json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
-    check("9 byte identity", same,
-          "thread counts agree bit for bit" if same else "outputs differ")
-
-    run("10 refinement decay",
-        ["refine", "--schedule", "powerlaw:q=0.5", "--delta", "1e-3",
-         "--paths", "200000", "--base-points", "1024", "--levels", "3",
-         "--factor", "4", "--seed", "42", "--min-ratio", "1.5", "--strict"])
-
-    print("\n" + "=" * 46)
-    failed = [label for label, ok in results if not ok]
-    for label, ok in results:
-        print(f"  {'PASS' if ok else 'FAIL'}  {label}")
-    print("=" * 46)
-    if failed:
-        print(f"{len(failed)} gate(s) failed")
-        return 1
-    print("all gates passed")
-    return 0
+    return subprocess.run([sys.executable, "-m", "pytest", str(GATES)]).returncode
 
 
 if __name__ == "__main__":

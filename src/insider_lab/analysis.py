@@ -16,12 +16,7 @@ from enum import Enum
 
 from insider_lab.config import ExperimentConfig, describe
 from insider_lab.montecarlo import McEstimate, estimate_log_utility
-from insider_lab.schedules import (
-    Classification,
-    EpsilonSchedule,
-    classify_viability,
-    viability_integral,
-)
+from insider_lab.schedules import Classification, classify_viability, viability_integral
 from insider_lab.strategy import (
     HonestStrategy,
     InsiderStrategy,
@@ -41,15 +36,15 @@ class Verdict(Enum):
     FAIL = "Fail"
 
 
-def benchmark_value(market: MarketCoefficients, schedule: EpsilonSchedule,
-                    strategy: Strategy, delta: float) -> float:
+def benchmark_value(market: MarketCoefficients, strategy: Strategy,
+                    delta: float) -> float:
     """Expected log wealth of the strategy's optimal portfolio at T - delta.
 
     log x0 plus half of [integral of 1/eps + integral of (alpha/beta)^2]
-    over [0, T - delta], where the honest portfolio has no look-ahead part
-    and ignores the schedule.  With delta = 0 the insider's value exists
-    only for viable schedules; divergent ones raise instead of returning
-    infinity so a truncation choice is always explicit.
+    over [0, T - delta], the first over the insider's own schedule; the
+    honest portfolio has no look-ahead part.  With delta = 0 the insider's
+    value exists only for viable schedules; divergent ones raise instead of
+    returning infinity so a truncation choice is always explicit.
     """
     T = market.horizon
     insider = isinstance(strategy, InsiderStrategy)
@@ -58,18 +53,17 @@ def benchmark_value(market: MarketCoefficients, schedule: EpsilonSchedule,
             f"no closed-form benchmark for strategy {describe(strategy)!r}; "
             "only the honest and look-ahead portfolios have one"
         )
-    if insider and abs(schedule.horizon - T) > 1e-12:
-        raise AnalysisError(
-            f"schedule horizon {schedule.horizon} disagrees with market horizon {T}"
-        )
+    if insider and abs(strategy.schedule.horizon - T) > 1e-12:
+        raise AnalysisError(f"schedule horizon {strategy.schedule.horizon} disagrees "
+                            f"with market horizon {T}")
     if not 0 <= delta < T:
         raise AnalysisError(f"truncation delta must lie in [0, {T}), got {delta!r}")
     if not insider:
         lookahead_part = 0.0
     elif delta > 0:
-        lookahead_part = viability_integral(schedule, delta)
+        lookahead_part = viability_integral(strategy.schedule, delta)
     else:
-        report = classify_viability(schedule)
+        report = classify_viability(strategy.schedule)
         if report.classification is not Classification.VIABLE:
             raise AnalysisError(
                 "the look-ahead integral diverges at the horizon, so expected "
@@ -122,7 +116,7 @@ def compare(cfg: ExperimentConfig, abs_tol: float = DEFAULT_ABS_TOL,
     A negative or non-finite abs_tol is refused before any path is drawn."""
     if not 0 <= abs_tol < math.inf:
         raise AnalysisError(f"abs_tol cannot be negative or non-finite, got {abs_tol!r}")
-    theory = benchmark_value(cfg.market, cfg.schedule, cfg.strategy, cfg.delta)
+    theory = benchmark_value(cfg.market, cfg.strategy, cfg.delta)
     mc = estimate_log_utility(cfg, threads=threads)
     return ComparisonReport(theory=theory, mc=mc, delta=cfg.delta, abs_tol=abs_tol)
 
@@ -149,10 +143,7 @@ def report_dict(report: ComparisonReport) -> dict:
     return {
         "delta": report.delta,
         "theory": report.theory,
-        "mean": report.mc.mean,
-        "stderr": report.mc.stderr,
-        "ci95": [report.mc.ci95[0], report.mc.ci95[1]],
-        "n_paths": report.mc.n_paths,
+        **report.mc.to_dict(),
         "z_score": report.z_score,
         "verdict": report.verdict.value,
         "abs_tol": report.abs_tol,

@@ -71,7 +71,7 @@ class TimeGrid:
         if pts[0] != 0.0:
             raise GridError(f"time grid must start at 0, got {pts[0]}")
         gaps = np.diff(pts)
-        if np.any(gaps <= 0):
+        if not np.all(gaps > 0):
             raise GridError("time grid points must be strictly increasing")
 
 

@@ -39,8 +39,8 @@ from insider_lab.config import (
     STRATEGY_DEFAULT,
     ExperimentConfig,
     MonteCarloError,
-    config_digest,
     describe,
+    digest_of,
     from_dict,
     parse_schedule,
     schedule_literal,
@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("viability", help="classify a look-ahead schedule")
     p.add_argument("--schedule", required=True,
                    help="look-ahead literal, e.g. powerlaw:q=2")
-    p.add_argument("--T", type=float, dest="horizon", default=1.0,
-                   help="time horizon (default 1)")
+    p.add_argument("--T", type=float, dest="horizon", default=MARKET_DEFAULTS["horizon"],
+                   help="time horizon (default %(default)g)")
     p.add_argument("--delta", type=float,
                    help="also report the look-ahead integral truncated at T - delta")
     _add_io_flags(p)
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="grade an estimate against its closed form")
     _add_experiment_flags(p)
     p.add_argument("--abs-tol", type=float, default=analysis.DEFAULT_ABS_TOL,
-                   help="absolute tolerance floor for the verdict (default 0.02)")
+                   help="absolute tolerance floor for the verdict (default %(default)g)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the verdict is Fail")
     _add_io_flags(p)
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", required=True,
                    help="comma-separated truncation levels, strictly decreasing")
     p.add_argument("--abs-tol", type=float, default=analysis.DEFAULT_ABS_TOL,
-                   help="absolute tolerance floor for the verdicts (default 0.02)")
+                   help="absolute tolerance floor for the verdicts (default %(default)g)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any verdict is Fail")
     _add_io_flags(p)
@@ -196,15 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="check forward-integral expectation identities")
     p.add_argument("--kind", required=True,
                    help="constant_lookahead, terminal_value or adapted_one")
-    p.add_argument("--T", type=float, dest="horizon", default=1.0,
-                   help="time horizon (default 1)")
+    p.add_argument("--T", type=float, dest="horizon", default=MARKET_DEFAULTS["horizon"],
+                   help="time horizon (default %(default)g)")
     p.add_argument("--eps", type=float,
                    help="look-ahead window (constant_lookahead only)")
-    p.add_argument("--paths", type=int, default=200000,
-                   help="number of simulated paths (default 200000)")
-    p.add_argument("--base-points", type=int, default=4096,
-                   help="grid resolution (default 4096)")
-    p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    p.add_argument("--paths", type=int, default=ExperimentConfig.n_paths,
+                   help="number of simulated paths (default %(default)s)")
+    p.add_argument("--base-points", type=int, default=ExperimentConfig.base_points,
+                   help="grid resolution (default %(default)s)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed,
+                   help="master seed (default %(default)s)")
     p.add_argument("--threads", type=int, help="worker threads")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the verdict is Fail")
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated h/eps ratios (default 0.25,0.5,1,2,10)")
     p.add_argument("--paths", type=int, default=100000,
                    help="paths per regression (default 100000)")
-    p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed,
+                   help="master seed (default %(default)s)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any slope misses its target")
     _add_io_flags(p)
@@ -317,6 +319,12 @@ def _report_rows(reports):
              rep.verdict.value] for rep in reports]
 
 
+def _header(command, cfg) -> dict:
+    """The fields every experiment result opens with."""
+    config = to_dict(cfg)
+    return {"command": command, "config": config, "config_digest": digest_of(config)}
+
+
 def _floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip()]
@@ -359,7 +367,7 @@ def _cmd_simulate(args):
     start = time.perf_counter()
     # called through its module, where bench/tracing.py wraps the estimate
     est = montecarlo.estimate_log_utility(cfg, threads=_threads_from(args))
-    wall, digest = time.perf_counter() - start, config_digest(cfg)
+    wall = time.perf_counter() - start
     if args.dump_path or args.dump_wealth:
         grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
         values = first_path(grid.points, cfg.master_seed)
@@ -369,9 +377,8 @@ def _cmd_simulate(args):
             # no fraction is held past the last base time: its pi cell stays empty
             _write_csv(args.dump_wealth, ["t", "pi", "log_wealth"], itertools.zip_longest(
                 *wealth_trace(run_plan(cfg, grid), values), fillvalue=""))
-    payload = {"command": "simulate", "config": to_dict(cfg), "config_digest": digest,
-               "mean": est.mean, "stderr": est.stderr, "ci95": list(est.ci95),
-               "n_paths": est.n_paths, "wall_time_s": wall}
+    payload = {**_header("simulate", cfg), **est.to_dict(), "wall_time_s": wall}
+    digest = payload["config_digest"]
     return _emit(args, payload,
                  ["config_digest", "mean", "stderr", "ci_lo", "ci_hi", "n_paths",
                   "wall_time_s"],
@@ -383,9 +390,7 @@ def _cmd_simulate(args):
 def _cmd_compare(args):
     cfg = _build_config(args)
     report = analysis.compare(cfg, abs_tol=args.abs_tol, threads=_threads_from(args))
-    payload = {"command": "compare", "config": to_dict(cfg),
-               "config_digest": config_digest(cfg),
-               "report": analysis.report_dict(report)}
+    payload = {**_header("compare", cfg), "report": analysis.report_dict(report)}
     return _emit(args, payload, _REPORT_HEADER, _report_rows([report]),
                  f"{report.verdict.value}: theory={report.theory:.6f} "
                  f"mc={report.mc.mean:.6f} stderr={report.mc.stderr:.6f} "
@@ -397,8 +402,7 @@ def _cmd_sweep(args):
     deltas = _floats(args.deltas, "--deltas")
     reports = analysis.truncation_sweep(cfg, deltas, abs_tol=args.abs_tol,
                                         threads=_threads_from(args))
-    payload = {"command": "sweep", "config": to_dict(cfg),
-               "config_digest": config_digest(cfg),
+    payload = {**_header("sweep", cfg),
                "reports": [analysis.report_dict(rep) for rep in reports]}
     n_pass = sum(rep.passed() for rep in reports)
     pretty = ", ".join(f"{d:g}" for d in deltas)
@@ -411,31 +415,27 @@ def _cmd_refine(args):
     if args.min_ratio is not None and not 0 < args.min_ratio < math.inf:
         raise CliError(f"--min-ratio must be finite and positive, got {args.min_ratio!r}")
     cfg = _build_config(args)
-    theory = analysis.benchmark_value(cfg.market, cfg.schedule, cfg.strategy,
-                                      cfg.delta)
+    theory = analysis.benchmark_value(cfg.market, cfg.strategy, cfg.delta)
     levels = refinement_study(cfg, levels=args.levels, factor=args.factor,
                               threads=_threads_from(args))
     gaps = [abs(level.estimate.mean - theory) for level in levels]
     ratios = [gaps[k] / gaps[k + 1] if gaps[k + 1] > 0 else math.inf
               for k in range(len(gaps) - 1)]
-    if args.min_ratio is None:
-        verdict = "Pass"
-    else:
-        verdict = "Pass" if all(r >= args.min_ratio for r in ratios) else "Fail"
+    passed = args.min_ratio is None or all(r >= args.min_ratio for r in ratios)
+    verdict = analysis.Verdict.PASS if passed else analysis.Verdict.FAIL
     rows = [{"base_points": level.base_points, "mean": level.estimate.mean,
              "stderr": level.estimate.stderr, "abs_gap": gap}
             for level, gap in zip(levels, gaps)]
-    payload = {"command": "refine", "config": to_dict(cfg),
-               "config_digest": config_digest(cfg), "theory": theory,
-               "levels": rows, "gap_ratios": ratios,
-               "min_ratio": args.min_ratio, "verdict": verdict}
+    payload = {**_header("refine", cfg), "theory": theory, "levels": rows,
+               "gap_ratios": ratios, "min_ratio": args.min_ratio,
+               "verdict": verdict.value}
     pretty_gaps = ", ".join(f"{g:.3e}" for g in gaps)
     pretty_ratios = ", ".join(f"{r:.2f}" for r in ratios)
     return _emit(args, payload, ["base_points", "mean", "stderr", "theory", "abs_gap"],
                  [[f'{r["base_points"]}', r["mean"], r["stderr"], theory, r["abs_gap"]]
                   for r in rows],
-                 f"gaps [{pretty_gaps}] ratios [{pretty_ratios}] {verdict}",
-                 failed=verdict != "Pass")
+                 f"gaps [{pretty_gaps}] ratios [{pretty_ratios}] {verdict.value}",
+                 failed=not passed)
 
 
 def _cmd_duality(args):
@@ -444,10 +444,9 @@ def _cmd_duality(args):
                                   threads=_threads_from(args))
     z, verdict = analysis.grade(est.mean - analytic, est.stderr)
     payload = {"command": "duality", "kind": args.kind, "horizon": args.horizon,
-               "eps": args.eps, "base_points": args.base_points,
-               "seed": args.seed, "mean": est.mean, "stderr": est.stderr,
-               "ci95": list(est.ci95), "n_paths": est.n_paths,
-               "analytic": analytic, "z_score": z, "verdict": verdict.value}
+               "eps": args.eps, "base_points": args.base_points, "seed": args.seed,
+               **est.to_dict(), "analytic": analytic, "z_score": z,
+               "verdict": verdict.value}
     return _emit(args, payload, ["kind", "analytic", "mean", "stderr", "z", "verdict"],
                  [[args.kind, analytic, est.mean, est.stderr, z, verdict.value]],
                  f"{args.kind}: mean={est.mean:.6f} analytic={analytic:g} "
@@ -458,8 +457,8 @@ def _cmd_duality(args):
 def _cmd_donsker_table(args):
     if args.points < 2:
         raise CliError(f"--points must be at least 2, got {args.points}")
-    if not args.span > 0:
-        raise CliError(f"--span must be positive, got {args.span!r}")
+    if not 0 < args.span < math.inf:
+        raise CliError(f"--span must be finite and positive, got {args.span!r}")
     p = DonskerParams(base=args.base, eps1=args.eps1, eps2=args.eps2)
     width = args.span * math.sqrt(args.eps2)
     ys = np.linspace(args.base - width, args.base + width, args.points)
@@ -496,7 +495,7 @@ def _cmd_drift_check(args):
                          "z_score": z, "verdict": verdict.value})
     payload = {"command": "drift-check", "t": args.t, "eps": args.eps,
                "paths": args.paths, "seed": args.seed, "rows": rows}
-    n_pass = sum(r["verdict"] == "Pass" for r in rows)
+    n_pass = sum(r["verdict"] == analysis.Verdict.PASS.value for r in rows)
     return _emit(args, payload,
                  ["kind", "h_over_eps", "slope", "stderr", "expected", "z", "verdict"],
                  [[r["kind"], r["h_over_eps"], r["slope"], r["stderr"], r["expected"],

@@ -70,6 +70,11 @@ class McEstimate:
     def ci95(self) -> tuple:
         return (self.mean - 1.96 * self.stderr, self.mean + 1.96 * self.stderr)
 
+    def to_dict(self) -> dict:
+        """Plain-data form, ready for JSON."""
+        return {"mean": self.mean, "stderr": self.stderr, "ci95": list(self.ci95),
+                "n_paths": self.n_paths}
+
 
 def _resolve_threads(threads) -> int:
     if threads is None:

@@ -30,11 +30,7 @@ class ScheduleError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """The look-ahead integral is infinite; ``partial`` is math.inf."""
-
-    def __init__(self, message: str, partial: float):
-        super().__init__(message)
-        self.partial = partial
+    """The look-ahead integral is infinite."""
 
 
 class Regime(Enum):
@@ -244,7 +240,7 @@ class TableSchedule(EpsilonSchedule):
             raise ScheduleError("table schedule needs at least two knots")
         times = np.array([k[0] for k in self.knots], dtype=float)
         eps = np.array([k[1] for k in self.knots], dtype=float)
-        if np.any(np.diff(times) <= 0):
+        if not np.all(np.diff(times) > 0):
             raise ScheduleError("table knot times must be strictly increasing")
         if np.any(eps <= 0) or not np.all(np.isfinite(eps)):
             raise ScheduleError("table look-ahead durations must be strictly positive")
@@ -307,7 +303,7 @@ def viability_integral(schedule: EpsilonSchedule, delta: float) -> float:
 
     delta = 0 is allowed for schedules whose look-ahead stays bounded
     away from zero at the horizon; for the others the integral diverges
-    and QuadratureError is raised with partial = inf.
+    and QuadratureError is raised.
     """
     T = schedule.horizon
     if not (0 <= delta < T):
@@ -315,7 +311,7 @@ def viability_integral(schedule: EpsilonSchedule, delta: float) -> float:
     value = schedule._reciprocal_integral(T - delta)
     if math.isinf(value):
         raise QuadratureError(
-            f"the integral of 1/eps over [0, {T - delta:.6g}] is not finite", value)
+            f"the integral of 1/eps over [0, {T - delta:.6g}] is not finite")
     return value
 
 

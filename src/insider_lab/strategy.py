@@ -39,7 +39,7 @@ class PiecewiseConstant:
             raise StrategyError("piecewise coefficients need one value per breakpoint")
         if self.breaks[0] != 0.0:
             raise StrategyError(f"first breakpoint must be 0, got {self.breaks[0]}")
-        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
+        if not all(b < c for b, c in zip(self.breaks, self.breaks[1:])):
             raise StrategyError("breakpoints must be strictly increasing")
         if not all(map(math.isfinite, self.values)):
             raise StrategyError("coefficient values must be finite")
@@ -124,7 +124,7 @@ class TableStrategy:
         if len(self.knots) < 2:
             raise StrategyError("strategy table needs at least two knots")
         times = [k[0] for k in self.knots]
-        if any(b >= c for b, c in zip(times, times[1:])):
+        if not all(b < c for b, c in zip(times, times[1:])):
             raise StrategyError("strategy knot times must be strictly increasing")
 
     def fraction(self, t):

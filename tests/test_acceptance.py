@@ -18,6 +18,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
+from insider_lab import cli
 from insider_lab.analysis import benchmark_value
 from insider_lab.donsker import (
     DonskerParams,
@@ -64,14 +65,14 @@ class TestViableSqrtSchedule:
     def test_truncated_estimate_matches_theory(self):
         sched = PowerLawSchedule(0.5, 1.0)
         est = rig_estimate(MARKET, sched, InsiderStrategy(sched), 1e-3)
-        theory = benchmark_value(MARKET, sched, InsiderStrategy(sched), 1e-3)
+        theory = benchmark_value(MARKET, InsiderStrategy(sched), 1e-3)
         # 0.5*(2*(1 - sqrt(1e-3)) + 0.25*0.999)
         assert theory == pytest.approx(1.0932522233983162, rel=1e-12)
         assert abs(est.mean - theory) <= max(3 * est.stderr, 0.02)
 
     def test_untruncated_theory_limit(self):
         sched = PowerLawSchedule(0.5, 1.0)
-        theory = benchmark_value(MARKET, sched, InsiderStrategy(sched), 0.0)
+        theory = benchmark_value(MARKET, InsiderStrategy(sched), 0.0)
         assert theory == pytest.approx(1.125, rel=1e-9)
 
 
@@ -209,6 +210,12 @@ class TestDriftRegressions:
         res = increment_regression(0.5, 0.1, 0.1, 100_000, 42)
         assert res.slope == 1.0 and res.stderr == 0.0
 
+    def test_drift_check_command_passes_every_row(self):
+        # the CLI derives each ratio's seed from the master seed, so its
+        # regressions are independent draws of the ones above
+        assert cli.main(["drift-check", "--ratios", "0.25,0.5,1,2,10",
+                         "--paths", "100000", "--seed", "42", "--strict"]) == 0
+
 
 class TestThreadByteIdentity:
     def test_one_and_eight_worker_threads_agree_bit_for_bit(self, tmp_path):
@@ -239,7 +246,7 @@ class TestRefinementBiasDecay:
                                master_seed=42, antithetic=True)
         levels = refinement_study(cfg, levels=3, factor=4)
         assert [lvl.base_points for lvl in levels] == [1024, 4096, 16384]
-        theory = benchmark_value(MARKET, sched, InsiderStrategy(sched), 1e-3)
+        theory = benchmark_value(MARKET, InsiderStrategy(sched), 1e-3)
         gaps = [abs(lvl.estimate.mean - theory) for lvl in levels]
         for coarse, fine in zip(gaps, gaps[1:]):
             assert coarse >= 1.5 * fine, gaps

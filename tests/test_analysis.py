@@ -32,7 +32,7 @@ DRIFTLESS = MarketCoefficients(alpha=0.0, beta=0.2, horizon=1.0)
 
 def insider_value(market, sched, delta):
     """The look-ahead portfolio's closed-form benchmark."""
-    return benchmark_value(market, sched, InsiderStrategy(schedule=sched), delta)
+    return benchmark_value(market, InsiderStrategy(schedule=sched), delta)
 
 
 def insider_cfg(sched, market=RIG, **overrides):
@@ -116,8 +116,7 @@ class TestAdditivityAcrossTruncations:
 
 class TestBenchmarkSelection:
     def test_honest_value_ignores_schedule(self):
-        sched = PowerLawSchedule(exponent=0.5, horizon=1.0)
-        got = benchmark_value(RIG, sched, HonestStrategy(), 0.0)
+        got = benchmark_value(RIG, HonestStrategy(), 0.0)
         assert got == pytest.approx(0.125, rel=1e-12)
 
     def test_honest_piecewise_drift(self):
@@ -125,19 +124,18 @@ class TestBenchmarkSelection:
             alpha={"breaks": [0.0, 0.5], "values": [0.1, 0.2]},
             beta=0.2, horizon=1.0,
         )
-        got = benchmark_value(market, None, HonestStrategy(), 0.0)
+        got = benchmark_value(market, HonestStrategy(), 0.0)
         assert got == pytest.approx(0.5 * (0.25 * 0.5 + 1.0 * 0.5), rel=1e-12)
 
     def test_insider_value_uses_schedule(self):
         sched = ConstantSchedule(value=1.0, horizon=1.0)
-        got = benchmark_value(RIG, sched, InsiderStrategy(schedule=sched), 0.0)
+        got = benchmark_value(RIG, InsiderStrategy(schedule=sched), 0.0)
         assert got == pytest.approx(0.625, rel=1e-12)
 
     def test_table_strategy_has_no_benchmark(self):
-        sched = ConstantSchedule(value=1.0, horizon=1.0)
         table = TableStrategy(knots=((0.0, 1.0), (1.0, 1.0)))
         with pytest.raises(AnalysisError, match="benchmark"):
-            benchmark_value(RIG, sched, table, 0.0)
+            benchmark_value(RIG, table, 0.0)
 
 
 class TestComparisonReport:

@@ -32,6 +32,8 @@ class TestTimeGrid:
     def test_rejects_decreasing(self):
         with pytest.raises(GridError, match="strictly increasing"):
             TimeGrid(points=np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(GridError, match="strictly increasing"):
+            TimeGrid(points=np.array([0.0, np.nan, 1.0]))
 
     def test_index_of(self):
         g = TimeGrid(points=np.array([0.0, 0.5, 1.0]))

@@ -219,6 +219,16 @@ class TestDiagnostics:
             assert density >= 0.0
             assert deriv == pytest.approx(density * ratio, abs=1e-15)
 
+    @pytest.mark.parametrize("span", ["inf", "nan", "0", "-1"])
+    def test_donsker_table_refuses_a_span_that_is_not_finite_and_positive(self, tmp_path,
+                                                                          span):
+        out = tmp_path / "d.json"
+        proc = run_cli("donsker-table", "--eps1", "0.25", "--eps2", "1", "--points", "3",
+                       "--span", span, "--output", str(out))
+        assert proc.returncode == 1
+        assert "--span must be finite and positive" in proc.stderr
+        assert not out.exists()
+
     def test_drift_check_passes_on_both_sides_of_the_window(self, tmp_path):
         out = tmp_path / "drift.json"
         proc = run_cli("drift-check", "--ratios", "0.5,1,2", "--paths", "20000",
@@ -332,6 +342,56 @@ class TestOutputLayout:
             assert len(rows) == 1 + n_rows
 
 
+_ESTIMATE_KEYS = {"mean", "stderr", "ci95", "n_paths"}
+_EXPERIMENT_KEYS = {"command", "config", "config_digest"}
+_REPORT_KEYS = {"delta", "theory", *_ESTIMATE_KEYS, "z_score", "verdict", "abs_tol"}
+_DUALITY_KEYS = {"command", "kind", "horizon", "eps", "base_points", "seed",
+                 *_ESTIMATE_KEYS, "analytic", "z_score", "verdict"}
+_VIABILITY_KEYS = {"command", "schedule", "horizon", "classification", "integral",
+                   "integral_label", "method"}
+
+# (arguments, payload keys, key of its records or None, keys of each record)
+_PAYLOADS = {
+    "compare": (["compare", *_SMALL], {*_EXPERIMENT_KEYS, "report"}, "report",
+                _REPORT_KEYS),
+    "sweep": (["sweep", *_SMALL, "--deltas", "1e-1,1e-2"], {*_EXPERIMENT_KEYS, "reports"},
+              "reports", _REPORT_KEYS),
+    "refine": (["refine", *_SMALL, "--levels", "2", "--factor", "2"],
+               {*_EXPERIMENT_KEYS, "theory", "levels", "gap_ratios", "min_ratio", "verdict"},
+               "levels", {"base_points", "mean", "stderr", "abs_gap"}),
+    "duality-lookahead": (["duality", "--kind", "constant_lookahead", "--eps", "0.5",
+                           "--paths", "200", "--base-points", "64"], _DUALITY_KEYS, None, None),
+    "duality-terminal": (["duality", "--kind", "terminal_value", "--paths", "200",
+                          "--base-points", "64"], _DUALITY_KEYS, None, None),
+    "duality-adapted": (["duality", "--kind", "adapted_one", "--paths", "200",
+                         "--base-points", "64"], _DUALITY_KEYS, None, None),
+    "drift-check": (["drift-check", "--ratios", "0.5,2", "--paths", "200"],
+                    {"command", "t", "eps", "paths", "seed", "rows"}, "rows",
+                    {"kind", "h_over_eps", "slope", "stderr", "expected", "z_score",
+                     "verdict"}),
+    "viability": (["viability", "--schedule", "powerlaw:q=0.5"], _VIABILITY_KEYS, None, None),
+    "viability-delta": (["viability", "--schedule", "powerlaw:q=0.5", "--delta", "1e-3"],
+                        {*_VIABILITY_KEYS, "delta", "truncated_integral"}, None, None),
+    "donsker-table": (["donsker-table", "--eps1", "0.25", "--eps2", "1", "--points", "3"],
+                      {"command", "base", "eps1", "eps2", "points", "span", "columns",
+                       "rows"}, None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_PAYLOADS))
+def test_every_payload_keeps_its_keys(tmp_path, name):
+    argv, keys, record_key, record_keys = _PAYLOADS[name]
+    out = tmp_path / "out.json"
+    proc = run_cli(*argv, "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    payload = load_payload(out)
+    assert set(payload) == keys
+    if record_key is not None:
+        records = payload[record_key]
+        for record in records if isinstance(records, list) else [records]:
+            assert set(record) == record_keys
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_an_error(self, tmp_path):
         cfg_file = tmp_path / "bad.json"
@@ -360,6 +420,13 @@ class TestExitCodes:
         ({"market": {"alpha": {"breaks": [0, 0.5], "values": [0.1, True]}}}, "market alpha"),
         ({"market": {"beta": None}}, "market beta"),
         ({"market": {"beta": {"breaks": [0], "values": [0.2], "k": 1}}}, "market beta"),
+        # a NaN compares false with every number, so it must not pass for a step
+        ({"market": {"alpha": {"breaks": [0, math.nan], "values": [0.1, 0.2]}}},
+         "strictly increasing"),
+        ({"strategy": {"kind": "table", "knots": [[0, 1], [math.nan, 2], [1, 1]]}},
+         "strictly increasing"),
+        ({"schedule": {"kind": "table", "knots": [[0, 0.5], [math.nan, 0.4], [1, 0.3]]}},
+         "strictly increasing"),
     ])
     def test_bad_config_entry_is_refused(self, tmp_path, overrides, offender):
         cfg_file = tmp_path / "bad.json"

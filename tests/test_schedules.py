@@ -87,6 +87,8 @@ class TestConstruction:
     def test_table_needs_increasing_times(self):
         with pytest.raises(ScheduleError, match="strictly increasing"):
             TableSchedule(((0.0, 1.0), (0.5, 0.9), (0.5, 0.8), (1.0, 0.7)), 1.0)
+        with pytest.raises(ScheduleError, match="strictly increasing"):
+            TableSchedule(((0.0, 0.5), (math.nan, 0.4), (1.0, 0.3)), 1.0)
 
     def test_table_needs_positive_durations(self):
         with pytest.raises(ScheduleError, match="positive"):

@@ -65,6 +65,8 @@ class TestMarket:
             PiecewiseConstant(breaks=(0.1,), values=(1.0,))
         with pytest.raises(StrategyError, match="increasing"):
             PiecewiseConstant(breaks=(0.0, 0.0), values=(1.0, 2.0))
+        with pytest.raises(StrategyError, match="increasing"):
+            PiecewiseConstant(breaks=(0.0, math.nan), values=(0.1, 0.2))
 
 
 class TestHonest:
