@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from insider_lab import np
 from insider_lab.schedules import (
     EpsilonSchedule,
     Regime,

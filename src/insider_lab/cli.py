@@ -30,8 +30,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from insider_lab import analysis, montecarlo
 from insider_lab.brownian import mix_seed, union_grid
 from insider_lab.config import (
@@ -454,6 +452,17 @@ def _cmd_duality(args):
                  failed=verdict is not analysis.Verdict.PASS)
 
 
+def _even_grid(start: float, stop: float, points: int) -> list[float]:
+    """np.linspace(start, stop, points), the same bits without numpy."""
+    step = (stop - start) / (points - 1)
+    if step == 0:  # linspace's branch for a step that underflows
+        ys = [k / (points - 1) * (stop - start) + start for k in range(points)]
+    else:
+        ys = [k * step + start for k in range(points)]
+    ys[-1] = stop
+    return ys
+
+
 def _cmd_donsker_table(args):
     if args.points < 2:
         raise CliError(f"--points must be at least 2, got {args.points}")
@@ -461,15 +470,13 @@ def _cmd_donsker_table(args):
         raise CliError(f"--span must be finite and positive, got {args.span!r}")
     p = DonskerParams(base=args.base, eps1=args.eps1, eps2=args.eps2)
     width = args.span * math.sqrt(args.eps2)
-    ys = np.linspace(args.base - width, args.base + width, args.points)
+    ys = _even_grid(args.base - width, args.base + width, args.points)
     rows = []
     for y1 in ys:
-        ratio = malliavin_ratio(args.base, float(y1), args.eps1)
+        ratio = malliavin_ratio(args.base, y1, args.eps1)
         for y2 in ys:
-            rows.append([float(y1), float(y2),
-                         cond_delta_2d(p, float(y1), float(y2)),
-                         cond_delta_deriv_2d(p, float(y1), float(y2)),
-                         ratio])
+            rows.append([y1, y2, cond_delta_2d(p, y1, y2),
+                         cond_delta_deriv_2d(p, y1, y2), ratio])
     columns = ["y1", "y2", "density", "derivative", "ratio"]
     payload = {"command": "donsker-table", "base": args.base, "eps1": args.eps1,
                "eps2": args.eps2, "points": args.points, "span": args.span,

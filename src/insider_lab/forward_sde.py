@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from insider_lab import np
 from insider_lab.brownian import TimeGrid
 from insider_lab.schedules import Classification, EpsilonSchedule, classify_viability
 from insider_lab.strategy import (

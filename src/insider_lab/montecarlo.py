@@ -17,9 +17,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.random import PCG64, Generator
-
+from insider_lab import np
 from insider_lab.brownian import TimeGrid, mix_seed, union_grid, union_grids
 from insider_lab.config import ExperimentConfig, MonteCarloError
 from insider_lab.forward_sde import (
@@ -96,7 +94,7 @@ def _normal_block(seeds, sqrt_gaps: np.ndarray, out: np.ndarray | None = None) -
     steps = values[:, 1:]
     for i, s in enumerate(seeds):
         # the generator default_rng(s) returns, built without its type checks
-        Generator(PCG64(s)).standard_normal(out=steps[i])
+        np.random.Generator(np.random.PCG64(s)).standard_normal(out=steps[i])
     np.multiply(steps, sqrt_gaps, out=steps)
     np.cumsum(steps, axis=1, out=steps)
     return values
@@ -129,6 +127,7 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int | No
     the error carries a row.
     """
     threads = _resolve_threads(threads)
+    # touches numpy before any worker starts: insider_lab.np must not first run on one
     sqrt_gaps = np.sqrt(np.diff(points))
     chunk = min(_chunk_units(len(points)), units)
     bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]

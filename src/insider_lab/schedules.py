@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from insider_lab import np
 
 #: Truncations at which every viability report tabulates the integral.
 TRACE_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -104,6 +104,19 @@ def _validate_horizon(T: float) -> None:
         raise ScheduleError(f"horizon must be a finite positive number, got {T!r}")
 
 
+def _interp(knots, t: float) -> float:
+    """The piecewise-linear table through ``knots`` at time t.
+
+    np.interp's formula with its order of operations, so one time gives
+    the same bits as _eval_array; a table has a handful of knots.
+    """
+    if t >= knots[-1][0]:
+        return knots[-1][1]
+    for (t0, e0), (t1, e1) in zip(knots, knots[1:]):
+        if t < t1:
+            return e0 if t <= t0 else (e1 - e0) / (t1 - t0) * (t - t0) + e0
+
+
 def _check_anchor_convergence(schedule: TableSchedule) -> None:
     """Reject tables whose anchor map t + eps_t oscillates near T.
 
@@ -122,18 +135,21 @@ def _check_anchor_convergence(schedule: TableSchedule) -> None:
     """
     T = schedule.horizon
     start = 0.875 * T
-    t = np.union1d([start, T], [k[0] for k in schedule.knots if start < k[0] < T])
-    gap = t + schedule._eval_array(t) - T
+    times = sorted({start, T, *(k[0] for k in schedule.knots if start < k[0] < T)})
+    gap = [t + _interp(schedule.knots, t) - T for t in times]
     tol = 1e-12 * max(1.0, T)
-    for side in np.split(np.abs(gap), np.flatnonzero(gap[:-1] * gap[1:] < 0) + 1):
-        steps = np.diff(side)
-        falls = np.flatnonzero(steps < -tol)
-        rises = np.flatnonzero(steps > tol)
+    fallen = False
+    for g0, g1 in zip(gap, gap[1:]):
+        if g0 * g1 < 0:
+            fallen = False  # the anchors pass through T: a new side starts
+            continue
+        step = abs(g1) - abs(g0)
+        fallen = fallen or step < -tol
         # A rise occurring after a fall means the anchors started
         # converging and then backed away again: that is the oscillation
         # we reject.  A single rise-then-fall (distance peaks inside the
         # window) is fine.
-        if falls.size and rises.size and rises[-1] > falls[0]:
+        if fallen and step > tol:
             raise ScheduleError(
                 "anchor map t + eps_t must approach the horizon monotonically; "
                 "oscillation detected near the terminal time"
@@ -238,11 +254,12 @@ class TableSchedule(EpsilonSchedule):
         _validate_horizon(self.horizon)
         if len(self.knots) < 2:
             raise ScheduleError("table schedule needs at least two knots")
-        times = np.array([k[0] for k in self.knots], dtype=float)
-        eps = np.array([k[1] for k in self.knots], dtype=float)
-        if not np.all(np.diff(times) > 0):
+        times = [float(k[0]) for k in self.knots]
+        if not all(t0 < t1 for t0, t1 in zip(times, times[1:])):
             raise ScheduleError("table knot times must be strictly increasing")
-        if np.any(eps <= 0) or not np.all(np.isfinite(eps)):
+        if not all(map(math.isfinite, times)):
+            raise ScheduleError("table knot times must be finite")
+        if not all(math.isfinite(k[1]) and k[1] > 0 for k in self.knots):
             raise ScheduleError("table look-ahead durations must be strictly positive")
         if times[0] > 0 or times[-1] < self.horizon:
             raise ScheduleError(
@@ -286,14 +303,15 @@ def regime(schedule: EpsilonSchedule) -> Regime:
     if isinstance(schedule, AffineBelowSchedule):
         return Regime.BELOW_HORIZON
     T = schedule.horizon
-    t = np.array([0.0, T])
     if isinstance(schedule, TableSchedule):
-        t = np.union1d(t, [k[0] for k in schedule.knots if 0.0 <= k[0] < T])
-    anchors = t + schedule._eval_array(t)
+        times = sorted({0.0, T, *(k[0] for k in schedule.knots if 0.0 <= k[0] < T)})
+        anchors = [t + _interp(schedule.knots, t) for t in times]
+    else:
+        anchors = [schedule.value, T + schedule.value]
     tol = 1e-12 * max(1.0, T)
-    if np.all(anchors >= T - tol):
+    if all(a >= T - tol for a in anchors):
         return Regime.ABOVE_HORIZON
-    if np.all(anchors <= T + tol):
+    if all(a <= T + tol for a in anchors):
         return Regime.BELOW_HORIZON
     return Regime.MIXED
 

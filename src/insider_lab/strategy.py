@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from insider_lab import np
 from insider_lab.schedules import EpsilonSchedule
 
 #: Smallest volatility magnitude a market may have.
@@ -41,6 +40,8 @@ class PiecewiseConstant:
             raise StrategyError(f"first breakpoint must be 0, got {self.breaks[0]}")
         if not all(b < c for b, c in zip(self.breaks, self.breaks[1:])):
             raise StrategyError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, self.breaks)):
+            raise StrategyError("breakpoints must be finite")
         if not all(map(math.isfinite, self.values)):
             raise StrategyError("coefficient values must be finite")
 
@@ -126,6 +127,8 @@ class TableStrategy:
         times = [k[0] for k in self.knots]
         if not all(b < c for b, c in zip(times, times[1:])):
             raise StrategyError("strategy knot times must be strictly increasing")
+        if not all(map(math.isfinite, times)):
+            raise StrategyError("strategy knot times must be finite")
 
     def fraction(self, t):
         times = np.array([k[0] for k in self.knots])

@@ -4,6 +4,8 @@ The lab itself runs only the block kernels in ``forward_sde`` and the one
 sampler in ``montecarlo``.  The routes here restate the same quantities one
 path, one time or one sum at a time, on a grid and its row of path values,
 so that each test can compare the engine against a second, simpler reading.
+The table checks of ``schedules``, which run in plain Python, are restated
+here on numpy arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from insider_lab.forward_sde import (
     wealth_plan,
 )
 from insider_lab.montecarlo import _normal_block
-from insider_lab.schedules import EpsilonSchedule
+from insider_lab.schedules import EpsilonSchedule, Regime
 from insider_lab.strategy import MarketCoefficients, Strategy
 
 
@@ -179,3 +181,38 @@ def martingale_increments(eps: float, h: float, n_paths: int, seed: int):
     z = np.random.default_rng(seed).standard_normal((2, n_paths))
     x = math.sqrt(eps) * z[0]
     return x, x + math.sqrt(h - eps) * z[1]
+
+
+def _table_eval(knots, t: np.ndarray) -> np.ndarray:
+    times = np.array([k[0] for k in knots], dtype=float)
+    eps = np.array([k[1] for k in knots], dtype=float)
+    return np.interp(t, times, eps)
+
+
+def table_regime(knots, T: float) -> Regime:
+    """``schedules.regime`` of a table on [0, T], on numpy arrays."""
+    t = np.union1d([0.0, T], [k[0] for k in knots if 0.0 <= k[0] < T])
+    anchors = t + _table_eval(knots, t)
+    tol = 1e-12 * max(1.0, T)
+    if np.all(anchors >= T - tol):
+        return Regime.ABOVE_HORIZON
+    if np.all(anchors <= T + tol):
+        return Regime.BELOW_HORIZON
+    return Regime.MIXED
+
+
+def anchors_oscillate(knots, T: float) -> bool:
+    """Whether ``schedules._check_anchor_convergence`` refuses a table, on
+    numpy arrays: split |t + eps_t - T| on [7T/8, T] where the gap changes
+    sign, and look for a rise after a fall on either side."""
+    start = 0.875 * T
+    t = np.union1d([start, T], [k[0] for k in knots if start < k[0] < T])
+    gap = t + _table_eval(knots, t) - T
+    tol = 1e-12 * max(1.0, T)
+    for side in np.split(np.abs(gap), np.flatnonzero(gap[:-1] * gap[1:] < 0) + 1):
+        steps = np.diff(side)
+        falls = np.flatnonzero(steps < -tol)
+        rises = np.flatnonzero(steps > tol)
+        if falls.size and rises.size and rises[-1] > falls[0]:
+            return True
+    return False

@@ -206,6 +206,13 @@ class TestDiagnostics:
         assert proc.returncode == 1
         assert "eps=0.001" in proc.stderr and "step 0.00392" in proc.stderr
 
+    def test_table_with_an_infinite_knot_time_is_refused(self, tmp_path):
+        knots = tmp_path / "k.csv"
+        knots.write_text("t,eps\n-inf,1\n1,2\n")
+        proc = run_cli("viability", "--schedule", f"table:@{knots}")
+        assert proc.returncode == 1
+        assert "knot times must be finite" in proc.stderr
+
     def test_donsker_table_rows_satisfy_ratio_identity(self, tmp_path):
         out = tmp_path / "table.csv"
         proc = run_cli("donsker-table", "--eps1", "0.25", "--eps2", "1.0",
@@ -427,6 +434,13 @@ class TestExitCodes:
          "strictly increasing"),
         ({"schedule": {"kind": "table", "knots": [[0, 0.5], [math.nan, 0.4], [1, 0.3]]}},
          "strictly increasing"),
+        # an infinite time passes the ordering test, so it needs its own
+        ({"market": {"alpha": {"breaks": [0, math.inf], "values": [0.1, 0.2]}}},
+         "breakpoints must be finite"),
+        ({"strategy": {"kind": "table", "knots": [[0, 1], [1, 1], [math.inf, 1]]}},
+         "knot times must be finite"),
+        ({"schedule": {"kind": "table", "knots": [[-math.inf, 1], [1, 2]]}},
+         "knot times must be finite"),
     ])
     def test_bad_config_entry_is_refused(self, tmp_path, overrides, offender):
         cfg_file = tmp_path / "bad.json"
@@ -491,3 +505,46 @@ class TestExitCodes:
         proc = run_cli("--help")
         assert proc.returncode == 0
         assert "viability" in proc.stdout
+
+
+# cli.main over a JSON list of argv lists in a fresh interpreter; prints
+# the exit codes and the numpy submodules loaded by then
+_FRESH_RUN = """
+import json, sys
+from insider_lab import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("numpy."))]))
+"""
+
+
+def _fresh_run(commands):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(commands)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestNumpyLoadsOnFirstUse:
+    def test_commands_that_draw_no_paths_never_load_numpy(self, tmp_path):
+        tables = []
+        for name, knots in (("mixed", "0,0.5\n1,1e-06\n"),
+                            ("viable", "0,1.5\n0.5,1\n1,0.5\n")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("t,eps\n" + knots)
+            tables.append(f"table:@{path}")
+        commands = [["viability", "--schedule", s, "--delta", "1e-3"]
+                    for s in ("powerlaw:q=0.5", "const:0.5", "affine_below:c=0.5")]
+        commands += [["viability", "--schedule", s] for s in tables]
+        commands.append(["donsker-table", "--base", "0.25", "--eps1", "0.25",
+                         "--eps2", "1.0", "--points", "41", "--output",
+                         str(tmp_path / "d.json")])
+        codes, loaded = _fresh_run(commands)
+        # the mixed table is refused, like the benchmark's kept fault
+        assert codes == [0, 0, 0, 1, 0, 0]
+        assert loaded == []  # numpy._core included
+
+    def test_a_command_that_draws_paths_loads_numpy(self):
+        codes, loaded = _fresh_run([["simulate", "--schedule", "const:1", "--strategy",
+                                     "merton", "--paths", "200", "--base-points", "256"]])
+        assert codes == [0]
+        assert "numpy._core" in loaded

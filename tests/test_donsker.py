@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 
+from insider_lab.cli import _even_grid
 from insider_lab.donsker import (
     DonskerError,
     DonskerParams,
@@ -188,3 +189,13 @@ class TestDistribution:
         dof = int(mask.sum()) - 1
         p_value = stats.chi2.sf(stat, dof)
         assert p_value > 1e-3
+
+
+@settings(max_examples=500, deadline=None)
+@given(base=st.floats(-1e6, 1e6), width=st.floats(5e-324, 1e6),
+       points=st.integers(2, 400))
+@example(base=0.0, width=1e-321, points=1000)  # the step underflows to 0
+@example(base=1e10, width=1e-10, points=21)  # start == stop
+def test_donsker_table_grid_is_linspace_bit_for_bit(base, width, points):
+    ys = _even_grid(base - width, base + width, points)
+    assert np.array(ys).tobytes() == np.linspace(base - width, base + width, points).tobytes()

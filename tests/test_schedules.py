@@ -19,9 +19,11 @@ from insider_lab.schedules import (
     ScheduleError,
     TableSchedule,
     classify_viability,
+    _interp,
     regime,
     viability_integral,
 )
+from oracles import anchors_oscillate, table_regime
 
 
 class TestEval:
@@ -89,6 +91,13 @@ class TestConstruction:
             TableSchedule(((0.0, 1.0), (0.5, 0.9), (0.5, 0.8), (1.0, 0.7)), 1.0)
         with pytest.raises(ScheduleError, match="strictly increasing"):
             TableSchedule(((0.0, 0.5), (math.nan, 0.4), (1.0, 0.3)), 1.0)
+
+    @pytest.mark.parametrize("knots", [((-math.inf, 1.0), (1.0, 2.0)),
+                                       ((0.0, 1.0), (math.inf, 2.0)),
+                                       ((0.0, 1.0), (1.0, 1.0), (math.inf, 1.0))])
+    def test_table_needs_finite_times(self, knots):
+        with pytest.raises(ScheduleError, match="finite"):
+            TableSchedule(knots, 1.0)
 
     def test_table_needs_positive_durations(self):
         with pytest.raises(ScheduleError, match="positive"):
@@ -366,3 +375,61 @@ def test_power_law_anchor_distance_never_rises_after_falling(q, T):
     falls = np.flatnonzero(steps < -1e-12)
     rises = np.flatnonzero(steps > 1e-12)
     assert not (falls.size and rises.size and rises[-1] > falls[0])
+
+
+# The benchmark's two gate tables, a table whose anchors stay below T
+# until they end 1e-9 past it, and an oscillating table: regime and the
+# anchor check must agree with their numpy forms in tests/oracles.py.
+GATE_TABLES = [((0.0, 0.5), (1.0, 1e-6)), ((0.0, 1.5), (0.5, 1.0), (1.0, 0.5)),
+               ((0, 0.5), (0.5, 0.25), (1, 1e-9))]
+OSCILLATING = ((0.0, 1.0), (0.9, 0.11), (0.93, 0.12), (0.96, 0.05), (1.0, 0.05))
+
+
+@st.composite
+def tables(draw):
+    """Knots covering [0, T], crowded into the anchor check's window
+    [7T/8, T] and with look-aheads near T - t, so that every regime and
+    both verdicts of the anchor check come up."""
+    T = draw(st.floats(min_value=0.1, max_value=10.0))
+    fracs = draw(st.lists(st.one_of(st.floats(0.0, 1.25), st.floats(0.875, 1.0)),
+                          max_size=6))
+    end = draw(st.sampled_from([1.0, 1.25]))
+    times = sorted({0.0, T * end, *(T * f for f in fracs if f < end)})
+    knots = []
+    for t in times:
+        near = draw(st.floats(0.5, 1.5)) * (T - t)  # anchors near the horizon
+        eps = draw(st.one_of(st.just(near), st.floats(1e-9, 2.0 * T)))
+        knots.append((t, eps if eps > 0 else 1e-13 * T))
+    return tuple(knots), T
+
+
+class TestPlainTableChecks:
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.floats(0.0, 1.0))
+    def test_interpolation_is_np_interp(self, table, frac):
+        knots, _ = table
+        times, eps = zip(*knots)
+        for t in (frac * times[-1], *times):
+            assert _interp(knots, t) == np.interp(t, times, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_regime_and_anchor_check_match_numpy(self, table):
+        knots, T = table
+        self._check(knots, T)
+
+    @pytest.mark.parametrize("knots", [*GATE_TABLES, OSCILLATING])
+    def test_gate_tables_match_numpy(self, knots):
+        self._check(knots, 1.0)
+
+    @staticmethod
+    def _check(knots, T):
+        oscillates = anchors_oscillate(knots, T)
+        try:
+            s = TableSchedule(knots, T)
+        except ScheduleError as exc:
+            assert oscillates, exc
+            assert "monotonically" in str(exc)
+            return
+        assert not oscillates
+        assert regime(s) is table_regime(knots, T)
