@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from insider_lab.brownian import union_grid
 from insider_lab.config import ExperimentConfig, describe
-from insider_lab.montecarlo import McEstimate, estimate_log_utility
+from insider_lab.montecarlo import McEstimate, estimate_log_utility, run_plan
 from insider_lab.schedules import Classification, classify_viability, viability_integral
 from insider_lab.strategy import (
     HonestStrategy,
@@ -127,7 +128,8 @@ def truncation_sweep(cfg: ExperimentConfig, deltas, abs_tol: float = DEFAULT_ABS
 
     Benchmarks of a divergent schedule grow as delta shrinks; a viable
     schedule's benchmarks settle toward the delta = 0 value instead.
-    Every level's config is built, and so checked, before any path is drawn.
+    Every level's config, benchmark and plan is built, and so checked,
+    before any path is drawn.
     """
     deltas = [float(d) for d in deltas]
     if not deltas:
@@ -135,6 +137,9 @@ def truncation_sweep(cfg: ExperimentConfig, deltas, abs_tol: float = DEFAULT_ABS
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise AnalysisError(f"deltas must be strictly decreasing, got {deltas}")
     levels = [replace(cfg, delta=d) for d in deltas]
+    for level in levels:
+        benchmark_value(level.market, level.strategy, level.delta)
+        run_plan(level, union_grid(level.base_points, level.schedule, level.delta))
     return [compare(level, abs_tol=abs_tol, threads=threads) for level in levels]
 
 

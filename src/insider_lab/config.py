@@ -5,10 +5,11 @@ schedule, a strategy and the Monte Carlo settings.  This module is the
 only place that knows how they map to plain data and back: ``to_dict``
 writes the canonical form that ``--dump-config`` saves and the digest
 hashes, and ``from_dict`` reads it back, filling omitted keys with
-their defaults and refusing unknown keys and ill-typed values at every
-level.  The CLI literals ``powerlaw:q=0.5`` and ``table:@knots.csv``
-parse into the same schedule and strategy entries, so each kind is
-read and written in exactly one place: its row in SCHEDULE or STRATEGY.
+their defaults and refusing unknown keys at every level; each value is
+checked by the type that holds it.  The CLI literals ``powerlaw:q=0.5``
+and ``table:@knots.csv`` parse into the same schedule and strategy
+entries, so each kind is read and written in exactly one place: its row
+in SCHEDULE or STRATEGY.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from insider_lab.schedules import (
     PowerLawSchedule,
     ScheduleError,
     TableSchedule,
+    real,
 )
 from insider_lab.strategy import (
     HonestStrategy,
@@ -61,6 +63,12 @@ class ExperimentConfig:
     pi_cap: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "delta", real(self.delta, "delta", MonteCarloError))
+        if self.pi_cap is not None:
+            object.__setattr__(self, "pi_cap", real(self.pi_cap, "pi_cap", MonteCarloError))
+        if not isinstance(self.antithetic, bool):
+            raise MonteCarloError(f"config key 'antithetic' must be true or false, "
+                                  f"got {self.antithetic!r}")
         if not isinstance(self.n_paths, int) or self.n_paths < 100:
             raise MonteCarloError(f"n_paths must be an integer >= 100, got {self.n_paths!r}")
         bp = self.base_points
@@ -82,10 +90,8 @@ class ExperimentConfig:
             raise MonteCarloError("look-ahead strategy must use the experiment's schedule")
         if self.antithetic and self.n_paths % 2:
             raise MonteCarloError("antithetic pairing needs an even n_paths")
-        if self.pi_cap is not None:
-            cap = self.pi_cap
-            if not (isinstance(cap, (int, float)) and math.isfinite(cap) and cap > 0):
-                raise MonteCarloError(f"pi_cap must be a positive number, got {cap!r}")
+        if self.pi_cap is not None and not (math.isfinite(self.pi_cap) and self.pi_cap > 0):
+            raise MonteCarloError(f"pi_cap must be a positive number, got {self.pi_cap!r}")
 
 
 class Kind(NamedTuple):
@@ -129,40 +135,6 @@ def _reject_unknown(mapping: dict, allowed, what: str, error: type = MonteCarloE
         raise error(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
-def _real(value) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
-    if isinstance(value, (str, bool)):
-        raise TypeError(f"not a number: {value!r}")
-    return float(value)
-
-
-def _number(value, what: str, error: type = MonteCarloError) -> float:
-    try:
-        return _real(value)
-    except (TypeError, ValueError):
-        raise error(f"{what} must be a number, got {value!r}") from None
-
-
-def _coefficient_entry(value, what: str):
-    """A market coefficient: a number, or {"breaks", "values"} lists of numbers."""
-    if not isinstance(value, dict):
-        return _number(value, what)
-    try:
-        if set(value) == {"breaks", "values"}:
-            return {k: [_real(x) for x in value[k]] for k in ("breaks", "values")}
-    except (TypeError, ValueError):
-        pass
-    raise MonteCarloError(f"{what} must be a number or breaks and values lists of "
-                          f"numbers, got {value!r}")
-
-
-def _knots(value, what: str, error: type) -> tuple[tuple[float, float], ...]:
-    try:
-        return tuple((_real(t), _real(v)) for t, v in value)
-    except (TypeError, ValueError):
-        raise error(f"{what} knots must be [time, value] pairs, got {value!r}") from None
-
-
 def _read_entry(family: EntryType, entry) -> tuple[Kind, object]:
     """The kind row and the parameter value of a checked entry."""
     name, error = family.name, family.error
@@ -177,9 +149,7 @@ def _read_entry(family: EntryType, entry) -> tuple[Kind, object]:
         return spec, None
     if spec.key not in entry:
         raise error(f"{name} config for {kind!r} needs a {spec.key!r} entry")
-    if spec.key == "knots":
-        return spec, _knots(entry["knots"], name, error)
-    return spec, _number(entry[spec.key], f"{name} {spec.key}", error)
+    return spec, entry[spec.key]
 
 
 def _schedule(entry, horizon: float) -> EpsilonSchedule:
@@ -201,9 +171,9 @@ def to_entry(obj) -> dict:
             if type(obj) is spec.cls:
                 entry = {"kind": kind}
                 if spec.key == "knots":
-                    entry["knots"] = [[float(t), float(v)] for t, v in getattr(obj, spec.attr)]
+                    entry["knots"] = [list(k) for k in getattr(obj, spec.attr)]
                 elif spec.key is not None:
-                    entry[spec.key] = float(getattr(obj, spec.attr))
+                    entry[spec.key] = getattr(obj, spec.attr)
                 return entry
     raise MonteCarloError(f"cannot serialize {obj!r}")
 
@@ -229,52 +199,44 @@ def _coefficient(c: PiecewiseConstant):
 def to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical plain-data form of a config, stable across runs.
 
-    Every real-valued field is written as a float, so a config reads
+    The types store every real-valued field as a float, so a config reads
     back to the same digest whichever way its numbers were typed.
     """
     m = cfg.market
     return {
         "market": {"alpha": _coefficient(m.alpha), "beta": _coefficient(m.beta),
-                   "horizon": float(m.horizon), "x0": float(m.x0)},
+                   "horizon": m.horizon, "x0": m.x0},
         "schedule": to_entry(cfg.schedule),
         "strategy": to_entry(cfg.strategy),
         "n_paths": cfg.n_paths,
         "base_points": cfg.base_points,
-        "delta": float(cfg.delta),
+        "delta": cfg.delta,
         "master_seed": cfg.master_seed,
         "antithetic": cfg.antithetic,
-        "pi_cap": None if cfg.pi_cap is None else float(cfg.pi_cap),
+        "pi_cap": cfg.pi_cap,
     }
 
 
 def from_dict(data: dict) -> ExperimentConfig:
     """Build a config from its plain-data form; omitted keys take their defaults.
 
-    Only ``schedule`` is required.  Unknown keys, entries that are not
-    objects and values of the wrong type are refused, naming the key.
+    Only ``schedule`` is required.  Unknown keys and entries that are not
+    objects are refused here, naming the key; each value is checked by
+    the type that holds it.
     """
     _reject_unknown(data, [f.name for f in fields(ExperimentConfig)], "config")
     market = data.get("market", {})
     if not isinstance(market, dict):
         raise MonteCarloError(f"config key 'market' must be an object, got {market!r}")
     _reject_unknown(market, [f.name for f in fields(MarketCoefficients)], "market")
-    market = {**MARKET_DEFAULTS, **market}
-    reals = {k: _number(market[k], f"market {k}") for k in ("horizon", "x0") if k in market}
-    coefficients = {k: _coefficient_entry(market[k], f"market {k}") for k in ("alpha", "beta")}
+    market = MarketCoefficients(**{**MARKET_DEFAULTS, **market})
     if "schedule" not in data:
         raise MonteCarloError("a look-ahead schedule is required: the config has no "
                               "'schedule' entry")
-    schedule = _schedule(data["schedule"], reals["horizon"])
+    schedule = _schedule(data["schedule"], market.horizon)
     settings = {k: v for k, v in data.items() if k not in ("market", "schedule", "strategy")}
-    if "delta" in settings:
-        settings["delta"] = _number(settings["delta"], "delta")
-    if settings.get("pi_cap") is not None:
-        settings["pi_cap"] = _number(settings["pi_cap"], "pi_cap")
-    if not isinstance(settings.get("antithetic", True), bool):
-        raise MonteCarloError(f"config key 'antithetic' must be true or false, "
-                              f"got {settings['antithetic']!r}")
     return ExperimentConfig(
-        market=MarketCoefficients(**coefficients, **reals),
+        market=market,
         schedule=schedule,
         strategy=_strategy(data.get("strategy", STRATEGY_DEFAULT), schedule),
         **settings,
@@ -289,10 +251,6 @@ def digest_of(payload: dict) -> str:
         acc ^= byte
         acc = (acc * 0x100000001B3) % 2**64
     return f"{acc:016x}"
-
-
-def config_digest(cfg: ExperimentConfig) -> str:
-    return digest_of(to_dict(cfg))
 
 
 def load_table_csv(path, family: EntryType = SCHEDULE) -> tuple[tuple[float, float], ...]:

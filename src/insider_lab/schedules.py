@@ -99,9 +99,31 @@ class EpsilonSchedule:
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def _validate_horizon(T: float) -> None:
-    if not (isinstance(T, (int, float)) and math.isfinite(T) and T > 0):
-        raise ScheduleError(f"horizon must be a finite positive number, got {T!r}")
+def real(value, what: str, error: type = ScheduleError) -> float:
+    """The one number rule: ``value`` as a float, or ``error`` naming the field
+    ``what``.  Strings and booleans are refused, although float() takes them."""
+    if not isinstance(value, (str, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{what} must be a number, got {value!r}")
+
+
+def knot_pairs(value, what: str, error: type = ScheduleError) -> tuple[tuple[float, float], ...]:
+    """``value`` as (time, value) pairs of floats; errors name ``what`` knots."""
+    try:
+        return tuple((real(t, what), real(v, what)) for t, v in value)
+    except (TypeError, ValueError):
+        raise error(f"{what} knots must be [time, value] pairs, got {value!r}") from None
+
+
+def positive_horizon(T, what: str = "horizon", error: type = ScheduleError) -> float:
+    """The one horizon rule: a finite positive number, as a float."""
+    T = real(T, what, error)
+    if not (math.isfinite(T) and T > 0):
+        raise error(f"horizon must be a finite positive number, got {T!r}")
+    return T
 
 
 def _interp(knots, t: float) -> float:
@@ -164,7 +186,8 @@ class PowerLawSchedule(EpsilonSchedule):
     horizon: float
 
     def __post_init__(self):
-        _validate_horizon(self.horizon)
+        object.__setattr__(self, "horizon", positive_horizon(self.horizon))
+        object.__setattr__(self, "exponent", real(self.exponent, "schedule q"))
         if not (math.isfinite(self.exponent) and self.exponent > 0):
             raise ScheduleError(f"power-law exponent must be positive, got {self.exponent!r}")
         if self.exponent != 1.0 and self.horizon > 1.0:
@@ -206,7 +229,8 @@ class ConstantSchedule(EpsilonSchedule):
     horizon: float
 
     def __post_init__(self):
-        _validate_horizon(self.horizon)
+        object.__setattr__(self, "horizon", positive_horizon(self.horizon))
+        object.__setattr__(self, "value", real(self.value, "schedule value"))
         if not (math.isfinite(self.value) and self.value > 0):
             raise ScheduleError(f"constant look-ahead must be positive, got {self.value!r}")
 
@@ -225,7 +249,8 @@ class AffineBelowSchedule(EpsilonSchedule):
     horizon: float
 
     def __post_init__(self):
-        _validate_horizon(self.horizon)
+        object.__setattr__(self, "horizon", positive_horizon(self.horizon))
+        object.__setattr__(self, "slope", real(self.slope, "schedule c"))
         if not (math.isfinite(self.slope) and 0 < self.slope <= 1):
             raise ScheduleError(f"affine-below slope must lie in (0, 1], got {self.slope!r}")
 
@@ -251,10 +276,11 @@ class TableSchedule(EpsilonSchedule):
     horizon: float
 
     def __post_init__(self):
-        _validate_horizon(self.horizon)
+        object.__setattr__(self, "horizon", positive_horizon(self.horizon))
+        object.__setattr__(self, "knots", knot_pairs(self.knots, "schedule"))
         if len(self.knots) < 2:
             raise ScheduleError("table schedule needs at least two knots")
-        times = [float(k[0]) for k in self.knots]
+        times = [k[0] for k in self.knots]
         if not all(t0 < t1 for t0, t1 in zip(times, times[1:])):
             raise ScheduleError("table knot times must be strictly increasing")
         if not all(map(math.isfinite, times)):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from insider_lab import np
-from insider_lab.schedules import EpsilonSchedule
+from insider_lab.schedules import EpsilonSchedule, knot_pairs, positive_horizon, real
 
 #: Smallest volatility magnitude a market may have.
 BETA_MIN = 1e-6
@@ -46,18 +46,23 @@ class PiecewiseConstant:
             raise StrategyError("coefficient values must be finite")
 
     @classmethod
-    def from_spec(cls, spec) -> "PiecewiseConstant":
-        """Accept a bare number or a {breaks, values} mapping."""
+    def from_spec(cls, spec, what: str) -> "PiecewiseConstant":
+        """The one reader of a coefficient: a bare number or a
+        {"breaks", "values"} mapping of number lists.  Errors name ``what``."""
         if isinstance(spec, PiecewiseConstant):
             return spec
-        if isinstance(spec, (int, float)):
-            return cls(breaks=(0.0,), values=(float(spec),))
-        if isinstance(spec, dict) and set(spec) == {"breaks", "values"}:
-            return cls(
-                breaks=tuple(float(b) for b in spec["breaks"]),
-                values=tuple(float(v) for v in spec["values"]),
-            )
-        raise StrategyError(f"cannot build a piecewise coefficient from {spec!r}")
+        if not isinstance(spec, dict):
+            return cls(breaks=(0.0,), values=(real(spec, what, StrategyError),))
+        if set(spec) == {"breaks", "values"}:
+            try:
+                breaks = tuple(real(b, what) for b in spec["breaks"])
+                values = tuple(real(v, what) for v in spec["values"])
+            except (TypeError, ValueError):
+                pass
+            else:
+                return cls(breaks=breaks, values=values)
+        raise StrategyError(f"{what} must be a number or breaks and values lists of "
+                            f"numbers, got {spec!r}")
 
     def __call__(self, t):
         idx = np.clip(
@@ -79,10 +84,11 @@ class MarketCoefficients:
     x0: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", PiecewiseConstant.from_spec(self.alpha))
-        object.__setattr__(self, "beta", PiecewiseConstant.from_spec(self.beta))
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise StrategyError(f"market horizon must be positive, got {self.horizon!r}")
+        object.__setattr__(self, "alpha", PiecewiseConstant.from_spec(self.alpha, "market alpha"))
+        object.__setattr__(self, "beta", PiecewiseConstant.from_spec(self.beta, "market beta"))
+        object.__setattr__(self, "horizon",
+                           positive_horizon(self.horizon, "market horizon", StrategyError))
+        object.__setattr__(self, "x0", real(self.x0, "market x0", StrategyError))
         if not (math.isfinite(self.x0) and self.x0 > 0):
             raise StrategyError(f"initial wealth must be positive, got {self.x0!r}")
         if any(abs(v) < BETA_MIN for v in self.beta.values):
@@ -122,6 +128,7 @@ class TableStrategy:
     knots: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "knots", knot_pairs(self.knots, "strategy", StrategyError))
         if len(self.knots) < 2:
             raise StrategyError("strategy table needs at least two knots")
         times = [k[0] for k in self.knots]

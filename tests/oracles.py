@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from insider_lab.brownian import MERGE_TOL, GridError, TimeGrid
+from insider_lab.config import ExperimentConfig, digest_of, to_dict
 from insider_lab.donsker import DonskerError, malliavin_ratio
 from insider_lab.forward_sde import (
     ForwardError,
@@ -26,6 +27,11 @@ from insider_lab.forward_sde import (
 from insider_lab.montecarlo import _normal_block
 from insider_lab.schedules import EpsilonSchedule, Regime
 from insider_lab.strategy import MarketCoefficients, Strategy
+
+
+def config_digest(cfg: ExperimentConfig) -> str:
+    """The digest the CLI stamps on every result of ``cfg``."""
+    return digest_of(to_dict(cfg))
 
 
 def draw(grid: TimeGrid, seed: int) -> np.ndarray:

@@ -315,6 +315,17 @@ def test_sweep_refuses_a_later_delta_before_any_path_is_drawn(no_draws, capsys, 
     assert "truncation delta must lie in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("deltas, refusal", [("1e-1,1e-6", "too coarse"),
+                                              ("1e-1,0", "diverges")])
+def test_sweep_refuses_a_later_level_before_any_path_is_drawn(no_draws, capsys, deltas,
+                                                              refusal):
+    # a valid delta whose grid or benchmark is refused: level 1 must not wait
+    # for level 0's paths
+    assert main(["sweep", "--schedule", "powerlaw:q=1", "--alpha", "0", "--paths", "400",
+                 "--deltas", deltas]) == 1
+    assert refusal in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ratio", ["-1", "0", "nan", "inf"])
 def test_refine_refuses_a_min_ratio_before_any_path_is_drawn(no_draws, capsys, ratio):
     # -1 or 0 would pass any gaps, nan would fail them all under --strict

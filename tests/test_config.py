@@ -1,6 +1,7 @@
 """The config format: round trips, pinned digests and refused entries."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from insider_lab.cli import _build_config, build_parser
 from insider_lab.config import (
     ExperimentConfig,
     MonteCarloError,
-    config_digest,
     from_dict,
     to_dict,
 )
@@ -27,6 +27,7 @@ from insider_lab.strategy import (
     PiecewiseConstant,
     TableStrategy,
 )
+from oracles import config_digest
 
 # the config of a run whose file route once kept "pi_cap": 5 as an int
 # and so disagreed with --pi-cap 5 on the digest
@@ -161,3 +162,35 @@ def test_boolean_seed_refused():
 def test_bad_schedule_entries_refused(entry, message):
     with pytest.raises(ValueError, match=message):
         from_dict({"schedule": entry})
+
+
+SMALL_RUN = {"schedule": {"kind": "const", "value": 1.0}, "n_paths": 200, "base_points": 256}
+ALPHA_TYPOS = {"breaks": [0, "0.5"], "values": [0.1, True]}
+
+
+@pytest.mark.parametrize("call, entry, message", [
+    (lambda: replace(from_dict(SMALL_RUN), pi_cap=True), {"pi_cap": True},
+     "pi_cap must be a number, got True"),
+    (lambda: replace(from_dict(SMALL_RUN), antithetic=1), {"antithetic": 1},
+     "config key 'antithetic' must be true or false, got 1"),
+    (lambda: replace(from_dict(SMALL_RUN), delta=False), {"delta": False},
+     "delta must be a number, got False"),
+    (lambda: MarketCoefficients(ALPHA_TYPOS, 0.2, 1.0), {"market": {"alpha": ALPHA_TYPOS}},
+     f"market alpha must be a number or breaks and values lists of numbers, got {ALPHA_TYPOS}"),
+    (lambda: PowerLawSchedule("0.5", 1.0), {"schedule": {"kind": "powerlaw", "q": "0.5"}},
+     "schedule q must be a number, got '0.5'"),
+    (lambda: TableSchedule([[0, "1"], [1, 1]], 1.0),
+     {"schedule": {"kind": "table", "knots": [[0, "1"], [1, 1]]}},
+     "schedule knots must be [time, value] pairs, got [[0, '1'], [1, 1]]"),
+    (lambda: TableStrategy([[0, "1"], [1, True]]),
+     {"strategy": {"kind": "table", "knots": [[0, "1"], [1, True]]}},
+     "strategy knots must be [time, value] pairs, got [[0, '1'], [1, True]]"),
+], ids=["pi_cap", "antithetic", "delta", "market_alpha", "schedule_q", "schedule_knots",
+        "strategy_knots"])
+def test_library_refuses_what_a_config_file_is_refused_for(call, entry, message):
+    with pytest.raises((ValueError, RuntimeError)) as library:
+        call()
+    with pytest.raises((ValueError, RuntimeError)) as config_file:
+        from_dict({**SMALL_RUN, **entry})
+    assert type(library.value) is type(config_file.value)
+    assert str(library.value) == str(config_file.value) == message

@@ -16,7 +16,7 @@ import insider_lab.forward_sde as fsde
 import insider_lab.montecarlo as mc
 from insider_lab.brownian import mix_seed, union_grid, union_grids
 from insider_lab.cli import main
-from insider_lab.config import config_digest, to_dict as config_dict
+from insider_lab.config import to_dict as config_dict
 from insider_lab.forward_sde import ForwardError, check_truncation, wealth_plan
 from insider_lab.montecarlo import (
     BatchAbort,
@@ -43,7 +43,7 @@ from insider_lab.strategy import (
     MarketCoefficients,
     TableStrategy,
 )
-from oracles import bridge_increments, martingale_increments
+from oracles import bridge_increments, config_digest, martingale_increments
 
 RIG = MarketCoefficients(alpha=0.1, beta=0.2, horizon=1.0)
 
