@@ -117,7 +117,8 @@ class WealthPlan:
     def scratch(self) -> int:
         """Doubles per path row of the step blocks log_wealth_matrix gathers
         into: two for a deterministic fraction, three for the insider's
-        closed-form pairs and four for its two-pass kernel."""
+        closed-form pairs and four for its two-pass kernel.  The chunk
+        driver sizes chunks from this plus the row's grid points."""
         blocks = 2 if self.anchors is None else 3 if self.antithetic and self.pi_cap is None else 4
         return blocks * self.left.size
 

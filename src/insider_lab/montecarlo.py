@@ -30,12 +30,12 @@ from insider_lab.forward_sde import (
 )
 from insider_lab.schedules import ConstantSchedule
 
-# target size of one chunk's block of path values, in doubles (1.5 MiB).
-# Each worker thread draws and reduces every chunk of a run inside one
-# workspace, allocated once: this values block plus the step blocks its
-# kernel gathers into, two to four of them, each one base step wide (about
-# half the block's width on the rig grid).  The budget keeps a worker's
-# working set near a 2 MiB per-core L2 and peak memory flat as grids grow.
+# target size of one worker's workspace, in doubles (1.5 MiB).  Each worker
+# thread draws and reduces every chunk of a run inside one workspace,
+# allocated once: the block of path values plus the step blocks its kernel
+# gathers into.  Chunks are sized so that the two together stay within this
+# budget, so peak memory stays flat as grids grow; a single row larger than
+# the budget runs alone.
 _CHUNK_TARGET = 3 << 16
 
 
@@ -77,7 +77,7 @@ class McEstimate:
 def _resolve_threads(threads) -> int:
     if threads is None:
         return os.cpu_count() or 1
-    if not isinstance(threads, int) or threads < 1:
+    if type(threads) is not int or threads < 1:
         raise MonteCarloError(f"thread count must be a positive integer, got {threads!r}")
     return threads
 
@@ -122,14 +122,15 @@ def _run_chunks(units: int, seed: int, points: np.ndarray, fn, threads: int | No
     last axis runs over those rows; the chunk results are concatenated
     along it.  Each worker thread allocates one workspace, the values block
     and the scratch, on its first chunk and reuses it for every later one,
-    so fn's result must not share memory with either.  A ForwardError
-    aborts the whole batch, naming the failing path's seed and unit when
-    the error carries a row.
+    so fn's result must not share memory with either.  Chunks are sized
+    from the whole workspace, ``len(points) + scratch`` doubles per row.
+    A ForwardError aborts the whole batch, naming the failing path's seed
+    and unit when the error carries a row.
     """
     threads = _resolve_threads(threads)
     # touches numpy before any worker starts: insider_lab.np must not first run on one
     sqrt_gaps = np.sqrt(np.diff(points))
-    chunk = min(_chunk_units(len(points)), units)
+    chunk = min(_chunk_units(len(points) + scratch), units)
     bounds = [(lo, min(lo + chunk, units)) for lo in range(0, units, chunk)]
     workspace = threading.local()
 

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -240,32 +241,73 @@ class TestDeterminism:
         lambda: duality_check("terminal_value", T=1.0, n_paths=400, base_points=512, seed=5),
     ], ids=["pi_cap", "honest", "refine", "duality_lookahead", "duality_terminal"])
     def test_chunk_size_does_not_change_bits_on_every_path(self, monkeypatch, run):
-        # the default budget runs each in one or two chunks; the smaller
-        # targets split them into chunks of 6-64 rows and of 1-8 rows
+        # the default budget runs each in 3-12 chunks; the smaller targets
+        # split them into chunks of 2-32 rows and of 1-4 rows
         results = [run()]
         for target in (1 << 15, 1 << 12):
             monkeypatch.setattr(mc, "_CHUNK_TARGET", target)
             results.append(run())
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("pi_cap, step_blocks", [(None, 3), (1e6, 4)])
-    def test_traced_peak_within_chunk_budget(self, pi_cap, step_blocks):
-        # On the rig grid (8192 points, 4095 base steps) a thread's chunk
-        # holds one values block of the budget's size and step blocks of half
-        # its width: three for the closed-form pairs, four for the two-pass
-        # kernel.  A quarter block per thread covers the grid and the plan.
-        cfg = insider_config(n_paths=512, base_points=4096, pi_cap=pi_cap)
-        points = len(union_grid(cfg.base_points, cfg.schedule, cfg.delta).points)
-        assert points == 8192 and 256 // mc._chunk_units(points) >= 4
-        threads = 2
-        budget = mc._CHUNK_TARGET * 8 * threads
+    @staticmethod
+    def traced_peak(cfg, threads):
+        # numpy.random loads on first use; an untraced run of the same config
+        # loads it, and the run's caches, before the traced window opens
+        estimate_log_utility(cfg, threads=threads)
         tracemalloc.start()
         try:
             estimate_log_utility(cfg, threads=threads)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (1.25 + 0.5 * step_blocks) * budget
+
+    @pytest.mark.parametrize("pi_cap, step_blocks", [(None, 3), (1e6, 4)])
+    def test_traced_peak_within_chunk_budget(self, pi_cap, step_blocks):
+        # On the rig grid (8192 points, 4095 base steps) a row's step blocks
+        # hold three base steps for the closed-form pairs and four for the
+        # two-pass kernel.  This bound allows a values block of the budget's
+        # size plus step blocks of half its width per thread, and a quarter
+        # block per thread for the grid and the plan.
+        cfg = insider_config(n_paths=512, base_points=4096, pi_cap=pi_cap)
+        grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
+        scratch = mc.run_plan(cfg, grid).scratch
+        assert len(grid.points) == 8192 and scratch == step_blocks * 4095
+        assert 256 // mc._chunk_units(len(grid.points) + scratch) >= 4
+        budget = mc._CHUNK_TARGET * 8 * 2
+        assert self.traced_peak(cfg, threads=2) < (1.25 + 0.5 * step_blocks) * budget
+
+    @pytest.mark.parametrize("pi_cap", [None, 1e6])
+    def test_traced_workspace_within_chunk_budget(self, pi_cap):
+        # chunks are sized from the values block and the step blocks together,
+        # so each thread's whole workspace fits the budget; half a budget more
+        # covers the grid, the plan and the chunk results
+        cfg = insider_config(n_paths=512, base_points=4096, pi_cap=pi_cap)
+        budget = mc._CHUNK_TARGET * 8 * 2
+        assert self.traced_peak(cfg, threads=2) < 1.5 * budget
+
+    def test_more_workers_than_cores_keep_every_bit(self, monkeypatch):
+        # 8 threads on chunks of 1-8 rows, switching threads every microsecond:
+        # each worker must draw and reduce only inside its own workspace
+        cfg = insider_config(n_paths=400, base_points=512)
+        runs = [
+            lambda t: estimate_log_utility(cfg, threads=t),
+            lambda t: refinement_study(cfg, levels=2, threads=t),
+            lambda t: duality_check("constant_lookahead", T=1.0, n_paths=400,
+                                    base_points=512, seed=3, eps=0.5, threads=t),
+        ]
+        monkeypatch.setattr(mc, "_CHUNK_TARGET", 1 << 14)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for run in runs:
+                assert run(8) == run(1)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.0, "2", True, False])
+    def test_bad_thread_count_refused(self, threads):
+        with pytest.raises(MonteCarloError, match="thread count must be a positive integer"):
+            estimate_log_utility(insider_config(n_paths=400, base_points=512), threads=threads)
 
     def test_dump_sampler_matches_chunk_sampler(self, tmp_path):
         # --dump-path writes the run's first path: row 0 of the block the
@@ -379,19 +421,22 @@ class TestKernelHook:
 
     def test_estimate_calls_once_per_chunk(self, monkeypatch):
         cfg = insider_config(n_paths=400, base_points=512)
-        points = len(union_grid(cfg.base_points, cfg.schedule, cfg.delta).points)
+        grid = union_grid(cfg.base_points, cfg.schedule, cfg.delta)
+        points = len(grid.points)
+        scratch = mc.run_plan(cfg, grid).scratch
         calls = self.count_calls(monkeypatch, lambda: estimate_log_utility(cfg, threads=1))
-        assert len(calls) == math.ceil(200 / mc._chunk_units(points)) > 1
+        assert len(calls) == math.ceil(200 / mc._chunk_units(points + scratch)) > 1
         assert all(v.ndim == 2 and v.shape[1] == points for v in calls)
         assert sum(v.shape[0] for v in calls) == 200
 
     def test_refine_calls_once_per_chunk_per_level(self, monkeypatch):
         cfg = insider_config(n_paths=400, base_points=512)
-        grid = union_grids([512, 2048], cfg.schedule, cfg.delta)[0]
-        points = len(grid.points)
+        grids = union_grids([512, 2048], cfg.schedule, cfg.delta)
+        points = len(grids[0].points)
+        scratch = max(mc.run_plan(cfg, g).scratch for g in grids)
         calls = self.count_calls(monkeypatch,
                                  lambda: refinement_study(cfg, levels=2, threads=1))
-        chunks = math.ceil(200 / mc._chunk_units(points))
+        chunks = math.ceil(200 / mc._chunk_units(points + scratch))
         assert chunks > 1
         assert len(calls) == 2 * chunks
         assert all(v.ndim == 2 and v.shape[1] == points for v in calls)
